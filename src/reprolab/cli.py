@@ -13,6 +13,7 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,13 +37,18 @@ from .diagnostics import (
     CSV_HEADER,
     MetricsRecord,
     alignment_stats,
-    append_metrics,
     confusion_matrix,
-    domain_alignment,
+    diagonal_accuracy,
     read_metrics_csv,
-    reprogramming_accuracy,
+    replace_file,
     save_confusion_csv,
+    write_metrics,
+    zero_program_alignment,
 )
+
+# Not called here, but part of this module's namespace: perfbench/spans.py
+# wraps each name it times where the CLI would look it up.
+from .diagnostics import append_metrics, domain_alignment, reprogramming_accuracy  # noqa: F401
 from .errors import ConfigurationError, ReproLabError, SchemaError
 from .models import (
     Network,
@@ -54,10 +60,12 @@ from .models import (
     train_sgd,
 )
 from .reprogram import (
+    Mask,
     build_class_map,
     build_frame_mask,
     optimize_program,
     save_program,
+    zero_program_loss,
 )
 from .stats import permutation_pvalue
 
@@ -148,32 +156,76 @@ def cmd_train(cfg: ExperimentConfig, out_dir=None) -> Path:
 # -- reprogram --------------------------------------------------------------------------
 
 
-def run_reprogram(cfg: ExperimentConfig, net: Network, out_dir=None,
-                  mask_outer_size=None) -> MetricsRecord:
-    """Optimize a program against ``net`` and emit metrics and checkpoints."""
-    outer = mask_outer_size if mask_outer_size is not None else cfg.mask_outer_size
+@dataclass
+class ZeroProgram:
+    """A run's results at the zero program, which a sweep computes once.
+
+    At delta = 0 the perturbed input x + 0 o M is x for every mask, so the
+    evaluation loss (``history[0]``) and the confusion matrix (DA) are the same
+    for all mask sizes. r0 and g_l1 differ only in which coordinates of one
+    shared input gradient the mask selects.
+    """
+
+    eval_loss: float
+    confusion: np.ndarray
+    r0: float
+    g_l1: float
+
+
+def _target_sets(cfg: ExperimentConfig) -> list[LabeledDataset]:
+    """The preprocessed optimization, evaluation and metrics sets of a run."""
     rc = cfg.reprogram
     raw = synth_or_idx_target(cfg)
-    pad = _pad_spec(cfg, cfg.target)
     sizes = [rc.opt_set_size, rc.eval_set_size, rc.metrics_set_size]
     if sum(sizes) > len(raw):
         raise ConfigurationError(
             f"target dataset has {len(raw)} samples but the run needs {sum(sizes)} "
             "(opt + eval + metrics)"
         )
-    opt_raw, eval_raw, metrics_raw = split_dataset(raw, sizes, cfg.seed)
-    opt_set = preprocess(opt_raw, pad)
-    eval_set = preprocess(eval_raw, pad)
-    metrics_set = preprocess(metrics_raw, pad)
+    pad = _pad_spec(cfg, cfg.target)
+    return [preprocess(part, pad) for part in split_dataset(raw, sizes, cfg.seed)]
 
-    mask = build_frame_mask(cfg.model.input_shape, cfg.target.image_size, outer)
-    class_map = build_class_map(cfg.target.num_classes, cfg.class_map, net.num_classes)
 
-    prog = optimize_program(net, opt_set, eval_set, mask, class_map, rc)
+def _build_mask(cfg: ExperimentConfig, outer_size) -> Mask:
+    return build_frame_mask(cfg.model.input_shape, cfg.target.image_size, outer_size)
 
-    da = domain_alignment(net, metrics_set, class_map)
-    ra = reprogramming_accuracy(net, metrics_set, prog, mask, class_map)
-    r0, g_l1 = alignment_stats(net, eval_set, np.zeros(mask.array.shape), mask, class_map)
+
+def _class_map(cfg: ExperimentConfig, net: Network):
+    return build_class_map(cfg.target.num_classes, cfg.class_map, net.num_classes)
+
+
+def _zero_programs(cfg: ExperimentConfig, net: Network, sets: list[LabeledDataset],
+                   masks: list[Mask]) -> list[ZeroProgram]:
+    """The zero-program stage for each mask: one loss pass, one confusion pass
+    and one backward per batch, whatever the number of masks."""
+    opt_set, eval_set, metrics_set = sets
+    class_map = _class_map(cfg, net)
+    net.set_requires_grad(False)
+    eval_loss = zero_program_loss(net, opt_set, eval_set, class_map, cfg.reprogram)
+    confusion = confusion_matrix(net, metrics_set, None, masks[0], class_map)
+    return [ZeroProgram(eval_loss, confusion, r0, g_l1)
+            for r0, g_l1 in zero_program_alignment(net, eval_set, masks, class_map)]
+
+
+def run_reprogram(cfg: ExperimentConfig, net: Network, out_dir=None,
+                  mask_outer_size=None, shared: ZeroProgram | None = None) -> MetricsRecord:
+    """Optimize a program against ``net`` and emit metrics and checkpoints.
+
+    ``shared`` holds this mask's zero-program results when a sweep has computed
+    them for all its sizes at once; without it they are computed here.
+    """
+    outer = mask_outer_size if mask_outer_size is not None else cfg.mask_outer_size
+    rc = cfg.reprogram
+    sets = _target_sets(cfg)
+    opt_set, eval_set, metrics_set = sets
+    mask = _build_mask(cfg, outer)
+    class_map = _class_map(cfg, net)
+    if shared is None:
+        shared = _zero_programs(cfg, net, sets, [mask])[0]
+
+    prog = optimize_program(net, opt_set, eval_set, mask, class_map, rc,
+                            initial_loss=shared.eval_loss)
+    confusion_after = confusion_matrix(net, metrics_set, prog, mask, class_map)
     rn, _ = alignment_stats(net, eval_set, prog, mask, class_map)
 
     run_hash = config_hash(cfg, effective_mask_outer_size=outer)
@@ -183,7 +235,8 @@ def run_reprogram(cfg: ExperimentConfig, net: Network, out_dir=None,
         model=cfg.model.tag,
         trained=cfg.model.trained,
         mask_size=mask.size(),
-        da=da, ra=ra, r0=r0, rn=rn, g_l1=g_l1,
+        da=diagonal_accuracy(shared.confusion), ra=diagonal_accuracy(confusion_after),
+        r0=shared.r0, rn=rn, g_l1=shared.g_l1,
         seed=cfg.seed,
         config_hash=run_hash,
     )
@@ -193,15 +246,9 @@ def run_reprogram(cfg: ExperimentConfig, net: Network, out_dir=None,
         out_dir.mkdir(parents=True, exist_ok=True)
         save_program(prog, out_dir / "program", mask=mask, class_map=class_map, cfg=rc,
                      extra={"config_hash": run_hash})
-        save_confusion_csv(
-            confusion_matrix(net, metrics_set, None, mask, class_map),
-            out_dir / "confusion_before.csv",
-        )
-        save_confusion_csv(
-            confusion_matrix(net, metrics_set, prog, mask, class_map),
-            out_dir / "confusion_after.csv",
-        )
-        append_metrics(record, out_dir / "metrics.csv", out_dir / "metrics.jsonl")
+        save_confusion_csv(shared.confusion, out_dir / "confusion_before.csv")
+        save_confusion_csv(confusion_after, out_dir / "confusion_after.csv")
+        write_metrics([record], out_dir / "metrics.csv", out_dir / "metrics.jsonl")
     return record
 
 
@@ -236,20 +283,29 @@ def cmd_reprogram(cfg: ExperimentConfig, model_dir, out_dir=None) -> MetricsReco
 # -- sweep ---------------------------------------------------------------------------------
 
 
-def _sweep_worker(config_dict: dict, model_dir: str, outer_size: int, out_dir: str) -> dict:
+def _sweep_worker(config_dict: dict, model_dir: str, outer_size: int, out_dir: str,
+                  shared: ZeroProgram) -> dict:
     from .config import config_from_dict
 
     cfg = config_from_dict(config_dict)
     net = load_model(model_dir)
-    record = run_reprogram(cfg, net, out_dir, mask_outer_size=outer_size)
+    record = run_reprogram(cfg, net, out_dir, mask_outer_size=outer_size, shared=shared)
     return record.to_json()
+
+
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def cmd_sweep(cfg: ExperimentConfig, model_dir, out_dir=None, jobs: int = 1) -> tuple[list, list]:
     """One reprogramming run per mask outer size; failures isolate per run.
 
-    Returns (records, failures). Rows are appended to the combined CSV in the
-    order the sizes were given.
+    The zero-program stage (evaluation loss, confusion matrix, r0 and g_l1 of
+    every size) runs once, before any run starts; an error there fails the
+    sweep. A size whose mask cannot be built, or whose run raises, fails
+    alone. Returns (records, failures). The combined CSV, JSON lines and
+    ``failures.json`` are written afresh, rows in the order the sizes were
+    given, so a re-run into the same directory replaces them.
     """
     sizes = list(cfg.mask_outer_sizes)
     if len(sizes) < 2:
@@ -259,38 +315,50 @@ def cmd_sweep(cfg: ExperimentConfig, model_dir, out_dir=None, jobs: int = 1) -> 
     config_dict = config_to_dict(cfg)
     run_dirs = [str(out_dir / f"mask_{size}") for size in sizes]
 
+    errors: list[str | None] = [None] * len(sizes)
+    masks: dict[int, Mask] = {}
+    for i, size in enumerate(sizes):
+        try:
+            masks[i] = _build_mask(cfg, size)
+        except ReproLabError as exc:
+            errors[i] = _error_text(exc)
+    net = load_model(model_dir)
+    shared = {}
+    if masks:
+        # The target sets are dropped when this returns, before workers fork.
+        stage = _zero_programs(cfg, net, _target_sets(cfg), list(masks.values()))
+        shared = dict(zip(masks, stage))
+
     results: list[dict | None] = [None] * len(sizes)
-    failures: list[tuple[int, str]] = []
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_sweep_worker, config_dict, str(model_dir), size, run_dir)
-                for size, run_dir in zip(sizes, run_dirs)
-            ]
-            for i, future in enumerate(futures):
+            futures = {
+                i: pool.submit(_sweep_worker, config_dict, str(model_dir), sizes[i],
+                               run_dirs[i], zero)
+                for i, zero in shared.items()
+            }
+            for i, future in futures.items():
                 try:
                     results[i] = future.result()
                 except Exception as exc:  # noqa: BLE001 - per-run isolation
-                    failures.append((sizes[i], f"{type(exc).__name__}: {exc}"))
+                    errors[i] = _error_text(exc)
     else:
-        net = load_model(model_dir)
-        for i, (size, run_dir) in enumerate(zip(sizes, run_dirs)):
+        for i, zero in shared.items():
             try:
-                results[i] = run_reprogram(cfg, net, run_dir, mask_outer_size=size).to_json()
+                results[i] = run_reprogram(cfg, net, run_dirs[i], mask_outer_size=sizes[i],
+                                           shared=zero).to_json()
             except Exception as exc:  # noqa: BLE001 - per-run isolation
-                failures.append((size, f"{type(exc).__name__}: {exc}"))
+                errors[i] = _error_text(exc)
 
-    records = []
-    combined = out_dir / "metrics.csv"
-    for row in results:
-        if row is None:
-            continue
-        record = MetricsRecord(**row)
-        records.append(record)
-        append_metrics(record, combined, out_dir / "metrics.jsonl")
+    records = [MetricsRecord(**row) for row in results if row is not None]
+    write_metrics(records, out_dir / "metrics.csv", out_dir / "metrics.jsonl")
+    failures = [(size, error) for size, error in zip(sizes, errors) if error is not None]
+    failures_path = out_dir / "failures.json"
     if failures:
-        (out_dir / "failures.json").write_text(json.dumps(
+        replace_file(failures_path, json.dumps(
             [{"mask_outer_size": s, "error": e} for s, e in failures], indent=1))
+    else:
+        failures_path.unlink(missing_ok=True)
     return records, failures
 
 

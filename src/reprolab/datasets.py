@@ -8,7 +8,6 @@ image is exactly 0, which the reprogramming mask later relies on.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
@@ -228,14 +227,6 @@ def _glyph(cls: int, h: int, w: int, family: str) -> np.ndarray:
     else:
         raise ConfigurationError(f"unknown glyph family {family!r}; choose from {_FAMILIES}")
     return shapes[cls % 10].astype(np.float64)
-
-
-def glyph_template_hash(num_classes: int, size: tuple[int, int], family: str) -> str:
-    blob = b"".join(
-        _glyph(c, size[0], size[1], family).astype(np.uint8).tobytes()
-        for c in range(num_classes)
-    )
-    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def synth_target_dataset(

@@ -11,7 +11,9 @@ dual norm.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -88,6 +90,32 @@ def append_metrics(record: MetricsRecord, csv_path, jsonl_path=None) -> None:
             fh.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
 
 
+def replace_file(path, text: str) -> None:
+    """Write ``text`` through a temporary file and a rename, so the file at
+    ``path`` is always either the previous one or the whole new one."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", newline="") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
+def write_metrics(records, csv_path, jsonl_path=None) -> None:
+    """Write the CSV report and JSON lines afresh, one row per record.
+
+    The bytes equal those that append_metrics writes for the same records into
+    files that did not exist.
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(CSV_HEADER)
+    writer.writerows(record.to_csv_row() for record in records)
+    replace_file(csv_path, buffer.getvalue())
+    if jsonl_path is not None:
+        replace_file(jsonl_path, "".join(json.dumps(record.to_json(), sort_keys=True) + "\n"
+                                         for record in records))
+
+
 def read_metrics_csv(csv_path) -> list[MetricsRecord]:
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
@@ -119,6 +147,16 @@ def reprogramming_accuracy(net: Network, target_set: LabeledDataset, prog, mask:
     return hits / len(target_set)
 
 
+def diagonal_accuracy(counts: np.ndarray) -> float:
+    """Mapped accuracy from a confusion matrix: its diagonal over the sample count.
+
+    Equal bit for bit to domain_alignment (zero-program counts) and
+    reprogramming_accuracy (counts after the program) on the same set: all
+    three count hits of the same 200-sample chunks and divide by n.
+    """
+    return int(np.trace(counts)) / int(counts.sum())
+
+
 # -- gradient alignment ------------------------------------------------------------
 
 
@@ -143,6 +181,17 @@ def gradient_alignment(gradients) -> float:
     return _alignment_ratio(sum_grad, sum_norms, len(arrays))
 
 
+def _input_gradients(net, images: np.ndarray, labels: np.ndarray, prog, mask: Mask,
+                     class_map: ClassMap, loss_fn=None) -> np.ndarray:
+    """Unmasked per-sample input gradients at x_i + delta o M; shape (n, *input)."""
+    loss_fn = loss_fn or T.softmax_cross_entropy
+    x = Tensor(images, requires_grad=True)
+    pert = T.add(x, T.mul(Tensor(_delta_array(prog)), Tensor(mask.array)))
+    loss = T.scale(loss_fn(net.forward(pert), class_map.apply(labels)), len(images))
+    T.backward(loss)
+    return x.grad if x.grad is not None else np.zeros_like(images)
+
+
 def per_sample_masked_gradients(net, images: np.ndarray, labels: np.ndarray, prog,
                                 mask: Mask, class_map: ClassMap, loss_fn=None) -> np.ndarray:
     """Per-sample input gradients at x_i + delta o M, masked; shape (n, *input).
@@ -150,32 +199,48 @@ def per_sample_masked_gradients(net, images: np.ndarray, labels: np.ndarray, pro
     One batched backward suffices: with the batch loss scaled by n, the input
     gradient at slot i is exactly the gradient of sample i's own loss.
     """
-    loss_fn = loss_fn or T.softmax_cross_entropy
-    x = Tensor(images, requires_grad=True)
-    pert = T.add(x, T.mul(Tensor(_delta_array(prog)), Tensor(mask.array)))
-    loss = T.scale(loss_fn(net.forward(pert), class_map.apply(labels)), len(images))
-    T.backward(loss)
-    grads = x.grad if x.grad is not None else np.zeros_like(images)
-    return grads * mask.array
+    return _input_gradients(net, images, labels, prog, mask, class_map, loss_fn) * mask.array
+
+
+def _alignment_per_mask(net, dataset: LabeledDataset, prog, mask: Mask, masks: list[Mask],
+                        class_map: ClassMap, loss_fn, batch_size: int) -> list[tuple[float, float]]:
+    """(r, ||g||_1) for each of ``masks``, from the input gradients at x + delta o M."""
+    images = dataset.images.array
+    sum_grads = [np.zeros(m.array.shape) for m in masks]
+    sum_norms = [0.0] * len(masks)
+    count = 0
+    for start in range(0, len(dataset), batch_size):
+        stop = min(start + batch_size, len(dataset))
+        raw = _input_gradients(net, images[start:stop], dataset.labels[start:stop], prog, mask,
+                               class_map, loss_fn)
+        for i, m in enumerate(masks):
+            grads = raw * m.array
+            sum_grads[i] += grads.sum(axis=0)
+            sum_norms[i] += float(np.abs(grads).sum())
+        count += stop - start
+    return [(_alignment_ratio(sum_grad, sum_norm, count), float(np.abs(sum_grad / count).sum()))
+            for sum_grad, sum_norm in zip(sum_grads, sum_norms)]
 
 
 def alignment_stats(net, dataset: LabeledDataset, prog, mask: Mask, class_map: ClassMap,
                     loss_fn=None, batch_size: int = 50) -> tuple[float, float]:
     """(r, ||g||_1) of masked per-sample gradients over a dataset, streamed."""
-    images = dataset.images.array
-    sum_grad = np.zeros(mask.array.shape)
-    sum_norms, count = 0.0, 0
-    for start in range(0, len(dataset), batch_size):
-        stop = min(start + batch_size, len(dataset))
-        grads = per_sample_masked_gradients(
-            net, images[start:stop], dataset.labels[start:stop], prog, mask, class_map, loss_fn
-        )
-        sum_grad += grads.sum(axis=0)
-        sum_norms += float(np.abs(grads).sum())
-        count += stop - start
-    r = _alignment_ratio(sum_grad, sum_norms, count)
-    g_l1 = float(np.abs(sum_grad / count).sum())
-    return r, g_l1
+    return _alignment_per_mask(net, dataset, prog, mask, [mask], class_map, loss_fn,
+                               batch_size)[0]
+
+
+def zero_program_alignment(net, dataset: LabeledDataset, masks: list[Mask],
+                           class_map: ClassMap, loss_fn=None,
+                           batch_size: int = 50) -> list[tuple[float, float]]:
+    """(r0, ||g||_1) at the zero program for each mask, from one backward per batch.
+
+    At delta = 0 the perturbed input x + 0 o M is x for every mask, so all masks
+    share one input gradient and each only selects its coordinates. Entry i
+    equals alignment_stats(net, dataset, zeros, masks[i], ...) exactly.
+    """
+    zero = np.zeros(masks[0].array.shape)
+    return _alignment_per_mask(net, dataset, zero, masks[0], masks, class_map, loss_fn,
+                               batch_size)
 
 
 def alignment_before_after(net, eval_set: LabeledDataset, mask: Mask, class_map: ClassMap,

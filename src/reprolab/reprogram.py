@@ -179,14 +179,14 @@ def apply_program(x: Tensor, prog, mask: Mask) -> Tensor:
     return T.add(x, T.mul(prog, Tensor(marr)))
 
 
-def _mean_loss(net, images: np.ndarray, labels: np.ndarray, delta: np.ndarray,
-               mask_arr: np.ndarray, mapped: np.ndarray, loss_fn) -> float:
-    """Graph-free mean loss of perturbed images in evaluation chunks."""
+def _mean_loss(net, images: np.ndarray, offset: np.ndarray, mapped: np.ndarray,
+               loss_fn) -> float:
+    """Graph-free mean loss of images + offset in evaluation chunks."""
     total, count = 0.0, 0
     with no_grad():
         for start in range(0, len(images), 200):
             stop = min(start + 200, len(images))
-            x = Tensor(images[start:stop] + delta * mask_arr)
+            x = Tensor(images[start:stop] + offset)
             value = loss_fn(net.forward(x), mapped[start:stop]).item()
             total += value * (stop - start)
             count += stop - start
@@ -198,10 +198,26 @@ def reprogramming_loss(net, images, labels, prog, mask: Mask, class_map: ClassMa
     """Mean loss of perturbed samples against their mapped source labels."""
     loss_fn = loss_fn or T.softmax_cross_entropy
     images = images.array if isinstance(images, Tensor) else np.asarray(images, dtype=np.float64)
-    return _mean_loss(
-        net, images, np.asarray(labels), _delta_array(prog), mask.array,
-        class_map.apply(labels), loss_fn,
-    )
+    return _mean_loss(net, images, _delta_array(prog) * mask.array, class_map.apply(labels),
+                      loss_fn)
+
+
+def _evaluation_set(opt_set: LabeledDataset, eval_set: LabeledDataset,
+                    cfg: ReprogramConfig) -> LabeledDataset:
+    return eval_set if cfg.use_heldout_eval else opt_set
+
+
+def zero_program_loss(net, opt_set: LabeledDataset, eval_set: LabeledDataset,
+                      class_map: ClassMap, cfg: ReprogramConfig, loss_fn=None) -> float:
+    """Evaluation loss of the zero program, ``history[0]`` of optimize_program.
+
+    It is the same for every mask, because x + 0 o M = x.
+    """
+    loss_fn = loss_fn or T.softmax_cross_entropy
+    eval_ds = _evaluation_set(opt_set, eval_set, cfg)
+    images = eval_ds.images.array
+    return _mean_loss(net, images, np.zeros(images.shape[1:]), class_map.apply(eval_ds.labels),
+                      loss_fn)
 
 
 def average_masked_gradient(net, images, labels, prog, mask: Mask, class_map: ClassMap,
@@ -227,7 +243,7 @@ def average_masked_gradient(net, images, labels, prog, mask: Mask, class_map: Cl
 
 def optimize_program(net, opt_set: LabeledDataset, eval_set: LabeledDataset, mask: Mask,
                      class_map: ClassMap, cfg: ReprogramConfig, loss_fn=None,
-                     step_callback=None, epoch_callback=None) -> Program:
+                     step_callback=None, initial_loss: float | None = None) -> Program:
     """Sign-gradient descent on the masked program with box projection.
 
     Per epoch the optimization set is reshuffled and split into full batches;
@@ -237,24 +253,25 @@ def optimize_program(net, opt_set: LabeledDataset, eval_set: LabeledDataset, mas
     minimum recorded loss is returned. sign(0) = 0, so coordinates outside the
     mask never move.
 
-    ``step_callback(epoch, batch, delta)`` and
-    ``epoch_callback(epoch, delta, eval_loss)`` observe read-only snapshots.
+    ``initial_loss`` is the zero program's evaluation loss when the caller has
+    already computed it with zero_program_loss; otherwise it is computed here.
+    ``step_callback(epoch, batch, delta)`` observes read-only snapshots.
     """
     loss_fn = loss_fn or T.softmax_cross_entropy
     if hasattr(net, "set_requires_grad"):
         net.set_requires_grad(False)
-    eval_ds = eval_set if cfg.use_heldout_eval else opt_set
+    eval_ds = _evaluation_set(opt_set, eval_set, cfg)
     mask_arr = mask.array
     opt_images = opt_set.images.array
     mapped_eval = class_map.apply(eval_ds.labels)
 
     delta = np.zeros(mask_arr.shape)
-    initial = _mean_loss(net, eval_ds.images.array, eval_ds.labels, delta, mask_arr,
-                         mapped_eval, loss_fn)
-    if not np.isfinite(initial):
+    if initial_loss is None:
+        initial_loss = zero_program_loss(net, opt_set, eval_set, class_map, cfg, loss_fn)
+    if not np.isfinite(initial_loss):
         raise NumericError("non-finite evaluation loss at the zero program")
-    history = [initial]
-    best_loss, best_delta = initial, delta.copy()
+    history = [initial_loss]
+    best_loss, best_delta = initial_loss, delta.copy()
 
     for epoch in range(cfg.epochs):
         for batch_index, idx in enumerate(make_batches(opt_set, cfg.batch_size, cfg.seed, epoch)):
@@ -264,16 +281,14 @@ def optimize_program(net, opt_set: LabeledDataset, eval_set: LabeledDataset, mas
             delta = np.clip(delta - cfg.eta * np.sign(g.array), -1.0, 1.0)
             if step_callback is not None:
                 step_callback(epoch, batch_index, delta.copy())
-        epoch_loss = _mean_loss(net, eval_ds.images.array, eval_ds.labels, delta, mask_arr,
-                                mapped_eval, loss_fn)
+        epoch_loss = _mean_loss(net, eval_ds.images.array, delta * mask_arr, mapped_eval,
+                                loss_fn)
         if not np.isfinite(epoch_loss):
             raise NumericError(f"non-finite evaluation loss after epoch {epoch}")
         history.append(epoch_loss)
         if epoch_loss < best_loss:
             best_loss = epoch_loss
             best_delta = delta.copy()
-        if epoch_callback is not None:
-            epoch_callback(epoch, delta.copy(), epoch_loss)
 
     return Program(delta=Tensor(best_delta), best_loss=best_loss, history=history)
 

@@ -86,6 +86,55 @@ def kendall_tau(x, y) -> float:
 
 _METHODS = {"pearson": pearson, "spearman": spearman, "kendall": kendall_tau}
 
+# Permuted coefficients are evaluated in blocks of about this many array elements.
+_BLOCK_ELEMENTS = 1 << 20
+# A permuted |coefficient| this close to the observed one is decided by the scalar
+# coefficient function, so every p-value equals that of a loop over permutations.
+# Ties are real: permuting data with repeated values reproduces the observed
+# coefficient, and an array pass may round it differently in the last bit.
+_NEAR_TIE = 1e-9
+
+
+def _pearson_rows(x: np.ndarray):
+    """Kernel: rows of permuted y values (B, n) -> Pearson coefficient per row."""
+    cx = x - x.mean()
+    ssx = float(cx @ cx)
+
+    def rows(ys: np.ndarray) -> np.ndarray:
+        cy = ys - ys.mean(axis=1, keepdims=True)
+        return (cy @ cx) / np.sqrt(ssx * np.einsum("ij,ij->i", cy, cy))
+
+    return rows
+
+
+def _row_kernel(method: str, x: np.ndarray, y: np.ndarray):
+    """(kernel, width): kernel maps permutation rows (B, n) to the coefficients
+    of (x, y[row]); width is the number of array elements one row costs."""
+    if method == "pearson":
+        rows = _pearson_rows(x)
+        return (lambda perms: rows(y[perms])), len(x)
+    if method == "spearman":
+        # Average ranks are permutation-equivariant: ranks of y[p] are ranks(y)[p].
+        rows = _pearson_rows(_average_ranks(x))
+        ry = _average_ranks(y)
+        return (lambda perms: rows(ry[perms])), len(x)
+    i, j = np.triu_indices(len(x), k=1)
+    dx = np.sign(x[i] - x[j])
+    sy = np.sign(y[:, None] - y[None, :])
+    # Untied pair counts do not change under permutation.
+    denominator = math.sqrt(float(np.abs(dx).sum()) * float(np.abs(sy[i, j]).sum()))
+    return (lambda perms: (sy[perms[:, i], perms[:, j]] @ dx) / denominator), len(i)
+
+
+def _count_extreme(fn, kernel, x, y, perms: np.ndarray, threshold: float) -> int:
+    """Rows of ``perms`` whose |coefficient| reaches ``threshold``."""
+    extreme = np.abs(kernel(perms))
+    near = np.abs(extreme - threshold) <= _NEAR_TIE
+    count = int((extreme[~near] >= threshold).sum())
+    for perm in perms[near]:
+        count += int(abs(fn(x, y[perm])) >= threshold)
+    return count
+
 
 def permutation_pvalue(x, y, method: str = "pearson", n_permutations: int = 10000,
                        seed: int = 0, exhaustive: bool = False) -> CorrelationResult:
@@ -93,7 +142,9 @@ def permutation_pvalue(x, y, method: str = "pearson", n_permutations: int = 1000
 
     Sampled permutations are drawn from a generator seeded with ``seed``, so
     results are reproducible; ``exhaustive`` enumerates all n! permutations
-    (n <= 8) and reports the exact p-value.
+    (n <= 8) and reports the exact p-value. Permuted coefficients are computed
+    in array passes over blocks of permutations; the p-value equals that of
+    evaluating the coefficient function once per permutation.
     """
     if method not in _METHODS:
         raise ConfigurationError(f"unknown method {method!r}; choose from {sorted(_METHODS)}")
@@ -101,24 +152,27 @@ def permutation_pvalue(x, y, method: str = "pearson", n_permutations: int = 1000
     x, y = _validate(x, y, method)
     observed = fn(x, y)
     threshold = abs(observed)
+    kernel, width = _row_kernel(method, x, y)
+    block = max(1, _BLOCK_ELEMENTS // width)
+    n = len(x)
 
     if exhaustive:
-        if len(x) > 8:
-            raise ConfigurationError(f"exhaustive enumeration limited to n <= 8, got {len(x)}")
-        count, total = 0, 0
-        for perm in itertools.permutations(range(len(y))):
-            total += 1
-            if abs(fn(x, y[list(perm)])) >= threshold:
-                count += 1
-        return CorrelationResult(method, observed, count / total, total, seed)
+        if n > 8:
+            raise ConfigurationError(f"exhaustive enumeration limited to n <= 8, got {n}")
+        perms = np.array(list(itertools.permutations(range(n))))
+        count = sum(_count_extreme(fn, kernel, x, y, perms[start:start + block], threshold)
+                    for start in range(0, len(perms), block))
+        return CorrelationResult(method, observed, count / len(perms), len(perms), seed)
 
     if n_permutations < 99:
         raise ConfigurationError(f"need at least 99 permutations, got {n_permutations}")
     rng = np.random.default_rng([int(seed), 0xC0])
     count = 0
-    for _ in range(n_permutations):
-        if abs(fn(x, rng.permutation(y))) >= threshold:
-            count += 1
+    for start in range(0, n_permutations, block):
+        # Row by row, this draws the same stream as successive rng.permutation(y).
+        rows = min(block, n_permutations - start)
+        perms = rng.permuted(np.tile(np.arange(n), (rows, 1)), axis=1)
+        count += _count_extreme(fn, kernel, x, y, perms, threshold)
     return CorrelationResult(
         method, observed, (count + 1) / (n_permutations + 1), n_permutations, seed
     )

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import json
 import struct
-import threading
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -24,25 +23,23 @@ import numpy as np
 
 from .errors import FormatError, LabelError, NumericError, ShapeError
 
-# next() on itertools.count is atomic under the GIL, giving every tensor a
-# process-wide creation index even with concurrent disjoint tapes.
+# Every tensor gets a process-wide creation index; backward replays in its order.
 _node_ids = itertools.count()
-_state = threading.local()
-
-
-def _grad_enabled() -> bool:
-    return getattr(_state, "grad_enabled", True)
+# Graph recording switch, turned off inside no_grad. reprolab starts no threads
+# (sweeps run in processes), so one flag per process suffices.
+_recording = True
 
 
 @contextmanager
 def no_grad():
     """Disable graph recording inside the block (evaluation-only forwards)."""
-    previous = _grad_enabled()
-    _state.grad_enabled = False
+    global _recording
+    previous = _recording
+    _recording = False
     try:
         yield
     finally:
-        _state.grad_enabled = previous
+        _recording = previous
 
 
 class Tensor:
@@ -148,7 +145,7 @@ def _as_tensor(value) -> Tensor:
 def _make_node(array: np.ndarray, parents: Sequence[Tensor],
                backward_rule: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor(array)
-    if _grad_enabled() and any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_rule = backward_rule

@@ -138,3 +138,24 @@ def grid_min_inner_product(g: np.ndarray, p, epsilon: float, points: int = 41) -
         ok = np.abs(flat).max(axis=1) <= epsilon + 1e-12
     values = flat[ok] @ g
     return float(min(values.min(), best))
+
+
+def permutation_pvalue_loop(x, y, coefficient, n_permutations=None, seed=0) -> float:
+    """Permutation p-value with one ``coefficient`` call per permutation.
+
+    ``n_permutations=None`` enumerates all n! orderings and returns count / n!;
+    otherwise successive ``rng.permutation(y)`` draws from the seeded stream
+    give the add-one estimate (count + 1) / (P + 1).
+    """
+    import itertools
+
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    threshold = abs(coefficient(x, y))
+    if n_permutations is None:
+        perms = [y[list(p)] for p in itertools.permutations(range(len(y)))]
+        return sum(abs(coefficient(x, p)) >= threshold for p in perms) / len(perms)
+    rng = np.random.default_rng([int(seed), 0xC0])
+    count = sum(abs(coefficient(x, rng.permutation(y))) >= threshold
+                for _ in range(n_permutations))
+    return (count + 1) / (n_permutations + 1)

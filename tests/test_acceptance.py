@@ -376,6 +376,7 @@ def test_criterion_05_optimizer_contract():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.acceptance
 def test_criterion_06_desk_scale_success(big_run):
     record = big_run["record"]
     ok = (record.ra >= 0.70 and (record.ra - record.da) >= 0.40
@@ -386,6 +387,7 @@ def test_criterion_06_desk_scale_success(big_run):
                f"elapsed={big_run['elapsed']:.0f}s")
 
 
+@pytest.mark.acceptance
 def test_criterion_07_mask_size_trend(sweep_records):
     sizes = [r.mask_size for r in sweep_records]
     ras = [r.ra for r in sweep_records]
@@ -397,6 +399,7 @@ def test_criterion_07_mask_size_trend(sweep_records):
                f"sizes={sizes}, RA={[round(v, 3) for v in ras]}, spearman={rho:.3f}")
 
 
+@pytest.mark.acceptance
 def test_criterion_08_alignment_accuracy_correlation(suite_records):
     ras = [r.ra for r in suite_records]
     rns = [r.rn for r in suite_records]
@@ -414,6 +417,7 @@ def test_criterion_08_alignment_accuracy_correlation(suite_records):
                f"{max(r.ra for r in untrained):.3f}")
 
 
+@pytest.mark.acceptance
 def test_criterion_09_domain_alignment_behavior(big_run):
     net = load_model(big_run["model_dir"])
     cfg = big_run["cfg"]

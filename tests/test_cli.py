@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from reprolab.cli import cmd_correlate, cmd_sweep, cmd_train, main, run_reprogram
+from reprolab.cli import _target_sets, cmd_correlate, cmd_sweep, cmd_train, main, run_reprogram
 from reprolab.config import (
     DatasetSpec,
     ExperimentConfig,
@@ -17,10 +17,24 @@ from reprolab.config import (
     config_hash,
     load_config,
 )
-from reprolab.diagnostics import CSV_HEADER, MetricsRecord, append_metrics, read_metrics_csv
+from reprolab.diagnostics import (
+    CSV_HEADER,
+    MetricsRecord,
+    alignment_stats,
+    append_metrics,
+    domain_alignment,
+    read_metrics_csv,
+    reprogramming_accuracy,
+)
 from reprolab.errors import ConfigurationError, SchemaError
 from reprolab.models import TrainConfig, load_model
-from reprolab.reprogram import ReprogramConfig
+from reprolab.reprogram import (
+    ReprogramConfig,
+    build_class_map,
+    build_frame_mask,
+    load_program,
+    reprogramming_loss,
+)
 
 
 def _tiny_config(out, seed=3) -> ExperimentConfig:
@@ -179,6 +193,65 @@ class TestSweepCommand:
         assert len(records) == 1 and len(failures) == 1
         assert failures[0][0] == 6
         assert (tmp_path / "sweepfail" / "failures.json").exists()
+
+    def test_rerun_replaces_outputs(self, pipeline, tmp_path):
+        cfg = _tiny_config(pipeline["root"], seed=3)
+        cfg.mask_outer_sizes = [10, 12, 16]
+        out = tmp_path / "again"
+        cmd_sweep(cfg, pipeline["model_dir"], out)
+        first = (out / "metrics.csv").read_bytes()
+        cmd_sweep(cfg, pipeline["model_dir"], out)
+        assert (out / "metrics.csv").read_bytes() == first
+        assert len(read_metrics_csv(out / "metrics.csv")) == 3
+        assert len((out / "metrics.jsonl").read_text().splitlines()) == 3
+        for size in cfg.mask_outer_sizes:
+            assert len(read_metrics_csv(out / f"mask_{size}" / "metrics.csv")) == 1
+
+    def test_clean_rerun_removes_failures_file(self, pipeline, tmp_path):
+        cfg = _tiny_config(pipeline["root"], seed=3)
+        out = tmp_path / "heal"
+        cfg.mask_outer_sizes = [6, 12]
+        _, failures = cmd_sweep(cfg, pipeline["model_dir"], out)
+        assert failures and (out / "failures.json").exists()
+        cfg.mask_outer_sizes = [10, 12]
+        _, failures = cmd_sweep(cfg, pipeline["model_dir"], out)
+        assert not failures and not (out / "failures.json").exists()
+        assert [r.mask_size for r in read_metrics_csv(out / "metrics.csv")] == \
+            [build_frame_mask((3, 16, 16), (8, 8), s).size() for s in (10, 12)]
+
+    def test_parallel_writes_same_bytes_as_serial(self, pipeline, tmp_path):
+        cfg = _tiny_config(pipeline["root"], seed=3)
+        cfg.mask_outer_sizes = [10, 12, 16]
+        cmd_sweep(cfg, pipeline["model_dir"], tmp_path / "serial", jobs=1)
+        cmd_sweep(cfg, pipeline["model_dir"], tmp_path / "parallel", jobs=2)
+        names = ["metrics.csv", "metrics.jsonl"] + [
+            f"mask_{size}/{name}" for size in cfg.mask_outer_sizes
+            for name in ("metrics.csv", "program/delta.tnsr", "program/program.json",
+                         "confusion_before.csv", "confusion_after.csv")]
+        for name in names:
+            assert (tmp_path / "parallel" / name).read_bytes() == \
+                (tmp_path / "serial" / name).read_bytes(), name
+
+    def test_rows_equal_per_run_diagnostics(self, pipeline, tmp_path):
+        # The shared zero-program stage must give exactly what each run would
+        # compute alone: DA, RA, r0, rN, g_l1 and history[0].
+        cfg = _tiny_config(pipeline["root"], seed=3)
+        cfg.mask_outer_sizes = [10, 12, 16]
+        records, _ = cmd_sweep(cfg, pipeline["model_dir"], tmp_path / "sweep")
+        net = load_model(pipeline["model_dir"])
+        _, eval_set, metrics_set = _target_sets(cfg)
+        cm = build_class_map(10, "first-ten", 10)
+        zero = np.zeros((3, 16, 16))
+        for size, record in zip(cfg.mask_outer_sizes, records):
+            mask = build_frame_mask((3, 16, 16), (8, 8), size)
+            prog, _ = load_program(tmp_path / "sweep" / f"mask_{size}" / "program")
+            r0, g_l1 = alignment_stats(net, eval_set, zero, mask, cm)
+            rn, _ = alignment_stats(net, eval_set, prog, mask, cm)
+            assert (record.da, record.ra, record.r0, record.rn, record.g_l1) == (
+                domain_alignment(net, metrics_set, cm),
+                reprogramming_accuracy(net, metrics_set, prog, mask, cm), r0, rn, g_l1)
+            assert prog.history[0] == reprogramming_loss(
+                net, eval_set.images, eval_set.labels, zero, mask, cm)
 
     def test_requires_two_sizes(self, pipeline, tmp_path):
         cfg = _tiny_config(pipeline["root"], seed=3)

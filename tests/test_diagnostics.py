@@ -13,6 +13,7 @@ from reprolab.diagnostics import (
     alignment_stats,
     append_metrics,
     confusion_matrix,
+    diagonal_accuracy,
     domain_alignment,
     gradient_alignment,
     linearized_loss,
@@ -20,6 +21,7 @@ from reprolab.diagnostics import (
     predicted_loss_drop,
     read_metrics_csv,
     reprogramming_accuracy,
+    zero_program_alignment,
 )
 from reprolab.errors import ConfigurationError
 from reprolab.models import build_cwnet, init_weights
@@ -169,6 +171,18 @@ class TestGradientAlignment:
         assert 0.0 <= r0 <= 1.0
 
 
+class TestZeroProgramAlignment:
+    def test_each_mask_equals_alignment_stats(self, trained_toy):
+        net, ds = trained_toy["net"], trained_toy["test"]
+        cm = build_class_map(10, "first-ten")
+        masks = [build_frame_mask((3, 32, 32), (16, 16), outer) for outer in (None, 18, 22, 26)]
+        zero = np.zeros((3, 32, 32))
+        # 300 samples in batches of 64 leave a partial last batch
+        shared = zero_program_alignment(net, ds, masks, cm, batch_size=64)
+        assert shared == [alignment_stats(net, ds, zero, m, cm, batch_size=64) for m in masks]
+        assert len(set(shared)) == len(masks)
+
+
 class TestPredictedLossDrop:
     def test_linf_case_is_negative_l1(self):
         assert predicted_loss_drop(np.array([0.5, -0.5]), np.inf, 1.0) == -1.0
@@ -297,6 +311,19 @@ class TestConfusionMatrix:
         counts = confusion_matrix(small_net, ds, None, mask, cm)
         assert counts.shape == (3, 4)
         assert counts.sum() == len(ds)
+
+
+class TestDiagonalAccuracy:
+    def test_equals_domain_alignment_and_reprogramming_accuracy(self, rng, trained_toy):
+        net, ds = trained_toy["net"], trained_toy["test"]  # 300 samples: two chunks
+        mask = build_frame_mask((3, 32, 32), (16, 16))
+        cm = build_class_map(10, [3, 1, 4, 0, 5, 9, 2, 6, 8, 7])
+        delta = rng.uniform(-1, 1, (3, 32, 32))
+        before = confusion_matrix(net, ds, None, mask, cm)
+        after = confusion_matrix(net, ds, delta, mask, cm)
+        assert diagonal_accuracy(before) == domain_alignment(net, ds, cm)
+        assert diagonal_accuracy(after) == reprogramming_accuracy(net, ds, delta, mask, cm)
+        assert diagonal_accuracy(before) != diagonal_accuracy(after)
 
 
 class TestMetricsRecord:

@@ -22,6 +22,7 @@ from reprolab.reprogram import (
     optimize_program,
     reprogramming_loss,
     save_program,
+    zero_program_loss,
 )
 from reprolab.tensor import Tensor
 
@@ -300,6 +301,21 @@ class TestOptimizeProgram:
         prog = optimize_program(small_net, ds, ds, mask, cm, cfg)
         assert prog.best_loss == min(prog.history)
         assert len(prog.history) == cfg.epochs + 1
+
+    @pytest.mark.parametrize("heldout", [True, False])
+    def test_given_initial_loss_leaves_history_unchanged(self, small_net, heldout):
+        opt_set, eval_set = _padded_target(n=20, seed=8), _padded_target(n=30, seed=9)
+        mask = build_frame_mask((3, 16, 16), (8, 8), 12)
+        cm = build_class_map(10, "first-ten")
+        cfg = ReprogramConfig(eta=0.05, epochs=2, batch_size=10, seed=4,
+                              use_heldout_eval=heldout)
+        initial = zero_program_loss(small_net, opt_set, eval_set, cm, cfg)
+        alone = optimize_program(small_net, opt_set, eval_set, mask, cm, cfg)
+        given_loss = optimize_program(small_net, opt_set, eval_set, mask, cm, cfg,
+                                      initial_loss=initial)
+        assert alone.history[0] == initial
+        assert given_loss.history == alone.history
+        assert np.array_equal(given_loss.delta.array, alone.delta.array)
 
     def test_determinism(self, small_net):
         ds = _padded_target(n=20, seed=7)

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 from reprolab.errors import ConfigurationError, DegenerateDataError
 from reprolab.stats import CorrelationResult, kendall_tau, pearson, permutation_pvalue, spearman
 
-from oracles import kendall_tau_b_loops, pearson_fraction, spearman_rank_then_pearson
+from oracles import (
+    kendall_tau_b_loops,
+    pearson_fraction,
+    permutation_pvalue_loop,
+    spearman_rank_then_pearson,
+)
+
+COEFFICIENTS = {"pearson": pearson, "spearman": spearman, "kendall": kendall_tau}
 
 
 class TestPearson:
@@ -168,3 +175,49 @@ class TestPermutationPValue:
         assert res.n_permutations == 199 and res.seed == 9
         assert -1.0 <= res.coefficient <= 1.0
         assert 0.0 < res.p_value <= 1.0
+
+
+class TestArrayPassesMatchLoop:
+    """p-values of the array passes equal a loop of one coefficient call per
+    permutation, compared with ==. Ties make permuted coefficients equal to the
+    observed one, where rounding decides the count unless near-ties are
+    re-checked with the scalar coefficient."""
+
+    @staticmethod
+    def _tied(n, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(60, 100, n) / 500  # RA-like values on a 1/500 grid
+        x[1] = x[0]
+        y = np.round(0.1 + 0.5 * x + rng.normal(0, 0.02, n), 3)
+        return x, y
+
+    @pytest.mark.parametrize("method", sorted(COEFFICIENTS))
+    def test_sampled_on_tied_data(self, method):
+        x, y = self._tied(24, 1)
+        got = permutation_pvalue(x, y, method=method, n_permutations=999, seed=7)
+        want = permutation_pvalue_loop(x, y, COEFFICIENTS[method], n_permutations=999, seed=7)
+        assert got.p_value == want
+
+    @pytest.mark.parametrize("method", sorted(COEFFICIENTS))
+    def test_exhaustive_on_tied_data(self, method):
+        x, y = self._tied(7, 2)
+        got = permutation_pvalue(x, y, method=method, exhaustive=True)
+        assert got.p_value == permutation_pvalue_loop(x, y, COEFFICIENTS[method])
+
+    def test_exhaustive_n8_tied_x_needs_near_tie_recheck(self):
+        # On this data the array pass alone rounds some tied permutations across
+        # the observed coefficient; the scalar re-check restores the exact count.
+        x = np.array([0.188, 0.188, 0.16, 0.14, 0.144, 0.122, 0.126, 0.12])
+        y = np.array([0.121, 0.197, 0.177, 0.209, 0.16, 0.172, 0.216, 0.187])
+        got = permutation_pvalue(x, y, method="pearson", exhaustive=True)
+        assert got.n_permutations == 40320
+        assert got.p_value == permutation_pvalue_loop(x, y, pearson)
+
+    @pytest.mark.parametrize("method, n", [("pearson", 5000), ("kendall", 200)])
+    def test_sampled_across_blocks(self, rng, method, n):
+        # Wide rows make the permutations span several blocks of the array pass.
+        x = rng.integers(0, 50, n).astype(float)
+        y = x + rng.normal(0, 40, n)
+        got = permutation_pvalue(x, y, method=method, n_permutations=300, seed=4)
+        want = permutation_pvalue_loop(x, y, COEFFICIENTS[method], n_permutations=300, seed=4)
+        assert got.p_value == want

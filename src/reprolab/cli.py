@@ -10,10 +10,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import functools
 import json
+import math
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+import traceback
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +28,6 @@ from .config import (
     DatasetSpec,
     ExperimentConfig,
     config_hash,
-    config_to_dict,
     load_config,
 )
 from .datasets import (
@@ -61,8 +66,10 @@ from .models import (
 )
 from .reprogram import (
     Mask,
+    Program,
     build_class_map,
     build_frame_mask,
+    merge_zero_program,
     optimize_program,
     save_program,
     zero_program_loss,
@@ -207,24 +214,40 @@ def _zero_programs(cfg: ExperimentConfig, net: Network, sets: list[LabeledDatase
             for r0, g_l1 in zero_program_alignment(net, eval_set, masks, class_map)]
 
 
+def _best_epoch(cfg: ExperimentConfig, net: Network, sets: list[LabeledDataset],
+                mask: Mask) -> Program:
+    """The optimization stage: sign-SGD without the zero program, which
+    merge_zero_program compares with the best epoch afterwards."""
+    opt_set, eval_set, _ = sets
+    return optimize_program(net, opt_set, eval_set, mask, _class_map(cfg, net), cfg.reprogram,
+                            initial_loss=math.inf)
+
+
 def run_reprogram(cfg: ExperimentConfig, net: Network, out_dir=None,
-                  mask_outer_size=None, shared: ZeroProgram | None = None) -> MetricsRecord:
+                  mask_outer_size=None, shared: ZeroProgram | None = None,
+                  program: Program | None = None,
+                  sets: list[LabeledDataset] | None = None) -> MetricsRecord:
     """Optimize a program against ``net`` and emit metrics and checkpoints.
 
-    ``shared`` holds this mask's zero-program results when a sweep has computed
-    them for all its sizes at once; without it they are computed here.
+    A run has three stages: the zero-program stage (``shared``), the
+    optimization stage (``program``, the best epoch from _best_epoch) and the
+    post stage, which merges the two and computes RA, rN and the artifacts.
+    A sweep runs the first two as separate tasks and passes their results in;
+    a stage whose result is not given runs here. ``sets`` are the target sets
+    from _target_sets, built here when not given.
     """
     outer = mask_outer_size if mask_outer_size is not None else cfg.mask_outer_size
     rc = cfg.reprogram
-    sets = _target_sets(cfg)
-    opt_set, eval_set, metrics_set = sets
+    sets = _target_sets(cfg) if sets is None else sets
+    _, eval_set, metrics_set = sets
     mask = _build_mask(cfg, outer)
     class_map = _class_map(cfg, net)
     if shared is None:
         shared = _zero_programs(cfg, net, sets, [mask])[0]
+    if program is None:
+        program = _best_epoch(cfg, net, sets, mask)
 
-    prog = optimize_program(net, opt_set, eval_set, mask, class_map, rc,
-                            initial_loss=shared.eval_loss)
+    prog = merge_zero_program(shared.eval_loss, program)
     confusion_after = confusion_matrix(net, metrics_set, prog, mask, class_map)
     rn, _ = alignment_stats(net, eval_set, prog, mask, class_map)
 
@@ -283,83 +306,264 @@ def cmd_reprogram(cfg: ExperimentConfig, model_dir, out_dir=None) -> MetricsReco
 # -- sweep ---------------------------------------------------------------------------------
 
 
-def _sweep_worker(config_dict: dict, model_dir: str, outer_size: int, out_dir: str,
-                  shared: ZeroProgram) -> dict:
-    from .config import config_from_dict
-
-    cfg = config_from_dict(config_dict)
-    net = load_model(model_dir)
-    record = run_reprogram(cfg, net, out_dir, mask_outer_size=outer_size, shared=shared)
-    return record.to_json()
+def _cpu_count() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _error_text(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
+def _openblas():
+    """numpy's scipy-openblas library as loaded in this process, or None."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh
+                            if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+            get, set_ = (lib.scipy_openblas_get_num_threads64_,
+                         lib.scipy_openblas_set_num_threads64_)
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return lib
+    return None
+
+
+def limit_blas_threads(limit: int) -> None:
+    """Lower OpenBLAS's thread count to ``limit``; never raise it. A no-op where
+    numpy's BLAS does not export the scipy-openblas thread functions."""
+    lib = _openblas()
+    if lib is not None and lib.scipy_openblas_get_num_threads64_() > limit:
+        lib.scipy_openblas_set_num_threads64_(limit)
+
+
+@dataclass
+class _Sweep:
+    """What every task of a sweep reads. The parent builds it once, before the
+    pool starts; pool workers receive it through the pool initializer, which
+    under fork inherits it instead of pickling it."""
+
+    cfg: ExperimentConfig
+    net: Network
+    sets: list[LabeledDataset]
+    masks: dict[int, Mask]  # by position in ``sizes``; sizes without a mask are absent
+    sizes: list[int]
+    run_dirs: list[str]
+
+
+@dataclass
+class _TaskError:
+    """Why one mask's task failed, and in which process."""
+
+    error: str
+    pid: int
+    traceback: str
+
+    @classmethod
+    def of(cls, exc: BaseException, pid: int | None = None) -> "_TaskError":
+        return cls(f"{type(exc).__name__}: {exc}", os.getpid() if pid is None else pid,
+                   "".join(traceback.format_exception(exc)))
+
+
+def _per_mask(task):
+    """Task decorator: an exception becomes a _TaskError, so only that mask fails."""
+    @functools.wraps(task)
+    def run(*args):
+        try:
+            return task(*args)
+        except Exception as exc:  # noqa: BLE001 - per-mask isolation
+            return _TaskError.of(exc)
+    return run
+
+
+def _zero_task(sweep: _Sweep) -> dict[int, ZeroProgram]:
+    stage = _zero_programs(sweep.cfg, sweep.net, sweep.sets, list(sweep.masks.values()))
+    return dict(zip(sweep.masks, stage))
+
+
+@_per_mask
+def _optimize_task(sweep: _Sweep, i: int) -> Program:
+    return _best_epoch(sweep.cfg, sweep.net, sweep.sets, sweep.masks[i])
+
+
+@_per_mask
+def _post_task(sweep: _Sweep, i: int, zero: ZeroProgram, program: Program) -> dict:
+    return run_reprogram(sweep.cfg, sweep.net, sweep.run_dirs[i], sweep.sizes[i], shared=zero,
+                         program=program, sets=sweep.sets).to_json()
+
+
+# Set only inside pool workers, by the pool initializer.
+_worker_sweep: _Sweep | None = None
+
+
+def _init_worker(sweep: _Sweep, blas_limit: int) -> None:
+    global _worker_sweep
+    _worker_sweep = sweep
+    limit_blas_threads(blas_limit)
+
+
+def _in_worker(task, *args):
+    return task(_worker_sweep, *args)
+
+
+def _pool(sweep: _Sweep | None, workers: int) -> ProcessPoolExecutor:
+    """A pool whose workers hold ``sweep`` and split the cores' BLAS threads."""
+    return ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                               initargs=(sweep, max(1, _cpu_count() // workers)))
+
+
+def _run_now(task, sweep: _Sweep, *args) -> Future:
+    """A finished future of task(sweep, *args): the stand-in for a pool at jobs=1."""
+    future = Future()
+    try:
+        future.set_result(task(sweep, *args))
+    except Exception as exc:  # noqa: BLE001 - re-raised by future.result()
+        future.set_exception(exc)
+    return future
+
+
+@dataclass
+class _Graph:
+    """A sweep's task graph and the results so far.
+
+    The zero-program task and each mask's optimization task are ready at once.
+    A mask's post task is ready once its optimization and the zero-program
+    task are done.
+    """
+
+    sweep: _Sweep
+    zero: dict[int, ZeroProgram] | None = None
+    programs: dict[int, Program] = field(default_factory=dict)
+    rows: dict[int, dict] = field(default_factory=dict)
+    failures: dict[int, _TaskError] = field(default_factory=dict)
+
+    def _open(self) -> list[int]:
+        return [i for i in self.sweep.masks if i not in self.rows and i not in self.failures]
+
+    def ready(self) -> list[tuple]:
+        """The tasks not run yet whose inputs are all present, zero task first."""
+        open_masks = self._open()
+        keys = [("zero", None)] if self.zero is None and open_masks else []
+        keys += [("optimize", i) for i in open_masks if i not in self.programs]
+        if self.zero is not None:
+            keys += [("post", i) for i in open_masks if i in self.programs]
+        return keys
+
+    def call(self, key: tuple) -> tuple:
+        """The task function of ``key`` and its arguments after the sweep."""
+        kind, i = key
+        if kind == "zero":
+            return (_zero_task,)
+        if kind == "optimize":
+            return (_optimize_task, i)
+        return (_post_task, i, self.zero[i], self.programs[i])
+
+    def record(self, key: tuple, value) -> list[tuple]:
+        """Store a task's result; returns the tasks it made ready."""
+        kind, i = key
+        if kind == "zero":
+            self.zero = value
+            return [("post", j) for j in self._open() if j in self.programs]
+        if isinstance(value, _TaskError):
+            self.failures[i] = value
+        elif kind == "optimize":
+            self.programs[i] = value
+            return [("post", i)] if self.zero is not None else []
+        else:
+            self.rows[i] = value
+        return []
+
+
+def _drive(graph: _Graph, submit) -> None:
+    """Run the graph until no task is left; ``submit(task, *args)`` returns a future.
+
+    Results are recorded in submission order among the tasks that finish
+    together, so an inline run goes through the tasks in a fixed order.
+    """
+    pending = graph.ready()
+    running: dict[Future, tuple] = {}
+    while pending or running:
+        for key in pending:
+            running[submit(*graph.call(key))] = key
+        pending = []
+        done, _ = wait(running, return_when=FIRST_COMPLETED)
+        for future in [f for f in running if f in done]:
+            pending += graph.record(running.pop(future), future.result())
+
+
+def _in_own_worker(sweep: _Sweep, task, *args):
+    """Run one task in a one-worker pool of its own, so that a task that kills
+    its worker fails its mask alone (or, for the zero-program task, the sweep)."""
+    with _pool(sweep, 1) as pool:
+        pid = pool.submit(os.getpid).result()
+        try:
+            return pool.submit(_in_worker, task, *args).result()
+        except BrokenProcessPool as exc:
+            if task is _zero_task:
+                raise
+            return _TaskError.of(exc, pid)
 
 
 def cmd_sweep(cfg: ExperimentConfig, model_dir, out_dir=None, jobs: int = 1) -> tuple[list, list]:
     """One reprogramming run per mask outer size; failures isolate per run.
 
-    The zero-program stage (evaluation loss, confusion matrix, r0 and g_l1 of
-    every size) runs once, before any run starts; an error there fails the
-    sweep. A size whose mask cannot be built, or whose run raises, fails
-    alone. Returns (records, failures). The combined CSV, JSON lines and
-    ``failures.json`` are written afresh, rows in the order the sizes were
-    given, so a re-run into the same directory replaces them.
+    The parent loads the checkpoint and builds the target sets once, then runs
+    the sweep's task graph (see _Graph): inline in a fixed order at ``jobs`` =
+    1, otherwise on one pool of ``jobs`` workers. An error in the zero-program
+    task fails the sweep. A size whose mask cannot be built, or whose task
+    raises, fails alone. When a worker dies, the unfinished tasks run again
+    one at a time, each in a fresh worker (_in_own_worker). Returns (records,
+    failures). The combined CSV, JSON lines and ``failures.json`` are written
+    afresh, rows in the order the sizes were given, so a re-run into the same
+    directory replaces them.
     """
     sizes = list(cfg.mask_outer_sizes)
     if len(sizes) < 2:
         raise ConfigurationError("a sweep needs at least 2 mask sizes")
     out_dir = Path(out_dir if out_dir is not None else Path(cfg.out) / "sweep")
     out_dir.mkdir(parents=True, exist_ok=True)
-    config_dict = config_to_dict(cfg)
     run_dirs = [str(out_dir / f"mask_{size}") for size in sizes]
 
-    errors: list[str | None] = [None] * len(sizes)
+    failures: dict[int, _TaskError] = {}
     masks: dict[int, Mask] = {}
     for i, size in enumerate(sizes):
         try:
             masks[i] = _build_mask(cfg, size)
         except ReproLabError as exc:
-            errors[i] = _error_text(exc)
+            failures[i] = _TaskError.of(exc)
     net = load_model(model_dir)
-    shared = {}
+    rows: dict[int, dict] = {}
     if masks:
-        # The target sets are dropped when this returns, before workers fork.
-        stage = _zero_programs(cfg, net, _target_sets(cfg), list(masks.values()))
-        shared = dict(zip(masks, stage))
-
-    results: list[dict | None] = [None] * len(sizes)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                i: pool.submit(_sweep_worker, config_dict, str(model_dir), sizes[i],
-                               run_dirs[i], zero)
-                for i, zero in shared.items()
-            }
-            for i, future in futures.items():
-                try:
-                    results[i] = future.result()
-                except Exception as exc:  # noqa: BLE001 - per-run isolation
-                    errors[i] = _error_text(exc)
-    else:
-        for i, zero in shared.items():
+        sweep = _Sweep(cfg, net, _target_sets(cfg), masks, sizes, run_dirs)
+        graph = _Graph(sweep)
+        if jobs > 1:
             try:
-                results[i] = run_reprogram(cfg, net, run_dirs[i], mask_outer_size=sizes[i],
-                                           shared=zero).to_json()
-            except Exception as exc:  # noqa: BLE001 - per-run isolation
-                errors[i] = _error_text(exc)
+                with _pool(sweep, min(jobs, len(masks) + 1)) as pool:
+                    _drive(graph, lambda task, *args: pool.submit(_in_worker, task, *args))
+            except BrokenProcessPool:
+                # A worker died; run what is left again, each task in a fresh worker.
+                _drive(graph, lambda task, *args: _run_now(_in_own_worker, sweep, task, *args))
+        else:
+            _drive(graph, lambda task, *args: _run_now(task, sweep, *args))
+        rows = graph.rows
+        failures.update(graph.failures)
 
-    records = [MetricsRecord(**row) for row in results if row is not None]
+    records = [MetricsRecord(**rows[i]) for i in sorted(rows)]
     write_metrics(records, out_dir / "metrics.csv", out_dir / "metrics.jsonl")
-    failures = [(size, error) for size, error in zip(sizes, errors) if error is not None]
     failures_path = out_dir / "failures.json"
     if failures:
-        replace_file(failures_path, json.dumps(
-            [{"mask_outer_size": s, "error": e} for s, e in failures], indent=1))
+        replace_file(failures_path, json.dumps([
+            {"mask_outer_size": sizes[i], "error": f.error,
+             "config_hash": config_hash(cfg, effective_mask_outer_size=sizes[i]),
+             "pid": f.pid, "traceback": f.traceback}
+            for i, f in sorted(failures.items())], indent=1))
     else:
         failures_path.unlink(missing_ok=True)
-    return records, failures
+    return records, [(sizes[i], failures[i].error) for i in sorted(failures)]
 
 
 # -- correlate ------------------------------------------------------------------------------

@@ -255,6 +255,9 @@ def optimize_program(net, opt_set: LabeledDataset, eval_set: LabeledDataset, mas
 
     ``initial_loss`` is the zero program's evaluation loss when the caller has
     already computed it with zero_program_loss; otherwise it is computed here.
+    ``initial_loss=math.inf`` defers the zero program: every epoch beats it, so
+    the result holds the best epoch, and merge_zero_program later turns it
+    into the result for the real zero-program loss.
     ``step_callback(epoch, batch, delta)`` observes read-only snapshots.
     """
     loss_fn = loss_fn or T.softmax_cross_entropy
@@ -268,7 +271,7 @@ def optimize_program(net, opt_set: LabeledDataset, eval_set: LabeledDataset, mas
     delta = np.zeros(mask_arr.shape)
     if initial_loss is None:
         initial_loss = zero_program_loss(net, opt_set, eval_set, class_map, cfg, loss_fn)
-    if not np.isfinite(initial_loss):
+    if not (np.isfinite(initial_loss) or initial_loss == np.inf):
         raise NumericError("non-finite evaluation loss at the zero program")
     history = [initial_loss]
     best_loss, best_delta = initial_loss, delta.copy()
@@ -291,6 +294,23 @@ def optimize_program(net, opt_set: LabeledDataset, eval_set: LabeledDataset, mas
             best_delta = delta.copy()
 
     return Program(delta=Tensor(best_delta), best_loss=best_loss, history=history)
+
+
+def merge_zero_program(initial_loss: float, best_epoch: Program) -> Program:
+    """optimize_program's result for ``initial_loss``, from its result for inf.
+
+    The epochs do not depend on ``history[0]``, so the zero program can be
+    compared last. It wins unless the best epoch is strictly lower, which is
+    the rule optimize_program applies epoch by epoch; ties go to the zero
+    program.
+    """
+    if not np.isfinite(initial_loss):
+        raise NumericError("non-finite evaluation loss at the zero program")
+    history = [initial_loss, *best_epoch.history[1:]]
+    if best_epoch.best_loss < initial_loss:
+        return Program(delta=best_epoch.delta, best_loss=best_epoch.best_loss, history=history)
+    return Program(delta=Tensor(np.zeros(best_epoch.delta.shape)), best_loss=initial_loss,
+                   history=history)
 
 
 # -- checkpointing -----------------------------------------------------------------

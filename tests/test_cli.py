@@ -1,12 +1,14 @@
 import csv
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import reprolab.cli as cli
 from reprolab.cli import _target_sets, cmd_correlate, cmd_sweep, cmd_train, main, run_reprogram
 from reprolab.config import (
     DatasetSpec,
@@ -232,6 +234,15 @@ class TestSweepCommand:
             assert (tmp_path / "parallel" / name).read_bytes() == \
                 (tmp_path / "serial" / name).read_bytes(), name
 
+    def test_parallel_four_sizes_same_bytes_as_serial(self, pipeline, tmp_path):
+        # More tasks than workers: the post tasks queue behind optimizations.
+        cfg = _tiny_config(pipeline["root"], seed=3)
+        cfg.mask_outer_sizes = [10, 12, 14, 16]
+        cmd_sweep(cfg, pipeline["model_dir"], tmp_path / "serial", jobs=1)
+        cmd_sweep(cfg, pipeline["model_dir"], tmp_path / "parallel", jobs=2)
+        assert _dir_hash(tmp_path / "parallel") == _dir_hash(tmp_path / "serial")
+        assert len(read_metrics_csv(tmp_path / "parallel" / "metrics.csv")) == 4
+
     def test_rows_equal_per_run_diagnostics(self, pipeline, tmp_path):
         # The shared zero-program stage must give exactly what each run would
         # compute alone: DA, RA, r0, rN, g_l1 and history[0].
@@ -258,6 +269,124 @@ class TestSweepCommand:
         cfg.mask_outer_sizes = [16]
         with pytest.raises(ConfigurationError, match="at least 2"):
             cmd_sweep(cfg, pipeline["model_dir"], tmp_path / "s")
+
+
+SIZES = [10, 12, 16]
+
+
+@pytest.fixture(scope="module")
+def clean_sweep(pipeline, tmp_path_factory):
+    """A failure-free 3-size sweep, the reference for the failure tests."""
+    out = tmp_path_factory.mktemp("clean")
+    cfg = _tiny_config(pipeline["root"], seed=3)
+    cfg.mask_outer_sizes = list(SIZES)
+    cmd_sweep(cfg, pipeline["model_dir"], out, jobs=1)
+    return out
+
+
+def _blas_threads() -> int:
+    return cli._openblas().scipy_openblas_get_num_threads64_()
+
+
+def _mask_outer(mask) -> int:
+    return mask.spec["outer_size"]
+
+
+class TestSweepTaskGraph:
+    def _sweep(self, pipeline, out, jobs=2):
+        cfg = _tiny_config(pipeline["root"], seed=3)
+        cfg.mask_outer_sizes = list(SIZES)
+        return cfg, cmd_sweep(cfg, pipeline["model_dir"], out, jobs=jobs)
+
+    def _assert_others_match(self, clean, out, failed_size):
+        # The surviving rows and run directories are the clean sweep's bytes.
+        lines = (clean / "metrics.csv").read_text().splitlines(keepends=True)
+        survivors = [line for size, line in zip(SIZES, lines[1:]) if size != failed_size]
+        assert (out / "metrics.csv").read_text() == "".join(lines[:1] + survivors)
+        for size in SIZES:
+            if size != failed_size:
+                assert _dir_hash(out / f"mask_{size}") == _dir_hash(clean / f"mask_{size}")
+
+    def test_target_sets_and_checkpoint_built_once(self, pipeline, tmp_path, monkeypatch):
+        # Forked workers inherit the patched names; the log file counts their calls too.
+        log = tmp_path / "calls.log"
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                with open(log, "a") as fh:
+                    fh.write(f"{name} {os.getpid()}\n")
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "synth_target_dataset",
+                            counted("synth", cli.synth_target_dataset))
+        monkeypatch.setattr(cli, "load_model", counted("load", cli.load_model))
+        _, (records, failures) = self._sweep(pipeline, tmp_path / "sweep")
+        assert len(records) == 3 and not failures
+        calls = [line.split() for line in log.read_text().splitlines()]
+        assert [name for name, _ in calls] == ["load", "synth"]
+        assert {int(pid) for _, pid in calls} == {os.getpid()}
+
+    def test_post_stage_error_fails_that_mask_alone(self, pipeline, clean_sweep, tmp_path,
+                                                    monkeypatch):
+        original = cli.alignment_stats
+
+        def failing(net, dataset, prog, mask, *args, **kwargs):
+            if _mask_outer(mask) == 12:
+                raise RuntimeError("injected post-stage failure")
+            return original(net, dataset, prog, mask, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "alignment_stats", failing)
+        out = tmp_path / "sweep"
+        _, (records, failures) = self._sweep(pipeline, out)
+        assert failures == [(12, "RuntimeError: injected post-stage failure")]
+        assert len(records) == 2
+        self._assert_others_match(clean_sweep, out, 12)
+
+    def test_worker_failure_is_actionable(self, pipeline, tmp_path, monkeypatch):
+        original = cli.optimize_program
+
+        def failing(net, opt_set, eval_set, mask, *args, **kwargs):
+            if _mask_outer(mask) == 16:
+                raise RuntimeError("injected optimization failure")
+            return original(net, opt_set, eval_set, mask, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "optimize_program", failing)
+        cfg, _ = self._sweep(pipeline, tmp_path / "sweep")
+        [entry] = json.loads((tmp_path / "sweep" / "failures.json").read_text())
+        assert entry["mask_outer_size"] == 16
+        assert entry["error"] == "RuntimeError: injected optimization failure"
+        assert entry["config_hash"] == config_hash(cfg, effective_mask_outer_size=16)
+        assert isinstance(entry["pid"], int) and entry["pid"] != os.getpid()
+        assert "in _best_epoch" in entry["traceback"]
+        assert "RuntimeError: injected optimization failure" in entry["traceback"]
+
+    def test_dead_worker_fails_its_mask_alone(self, pipeline, clean_sweep, tmp_path,
+                                              monkeypatch):
+        original = cli.optimize_program
+
+        def dying(net, opt_set, eval_set, mask, *args, **kwargs):
+            if _mask_outer(mask) == 12:
+                os._exit(1)
+            return original(net, opt_set, eval_set, mask, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "optimize_program", dying)
+        out = tmp_path / "sweep"
+        _, (records, failures) = self._sweep(pipeline, out)
+        assert [size for size, _ in failures] == [12]
+        assert failures[0][1].startswith("BrokenProcessPool")
+        [entry] = json.loads((out / "failures.json").read_text())
+        assert entry["pid"] != os.getpid()
+        self._assert_others_match(clean_sweep, out, 12)
+
+    def test_pool_caps_blas_threads(self):
+        if cli._openblas() is None:
+            pytest.skip("numpy's BLAS does not export scipy_openblas_get_num_threads64_")
+        before = _blas_threads()
+        with cli._pool(None, 2) as pool:
+            inside = pool.submit(_blas_threads).result()
+        assert inside == min(before, max(1, cli._cpu_count() // 2))
+        assert _blas_threads() == before
 
 
 class TestCorrelateCommand:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import reprolab.tensor as T
 from reprolab.datasets import LabeledDataset, PadSpec, preprocess, synth_target_dataset
-from reprolab.errors import ConfigurationError, InjectivityError, ShapeError
+from reprolab.errors import ConfigurationError, InjectivityError, NumericError, ShapeError
 from reprolab.models import build_cwnet, init_weights
 from reprolab.reprogram import (
     ClassMap,
@@ -19,6 +21,7 @@ from reprolab.reprogram import (
     build_class_map,
     build_frame_mask,
     load_program,
+    merge_zero_program,
     optimize_program,
     reprogramming_loss,
     save_program,
@@ -351,6 +354,57 @@ class TestOptimizeProgram:
         assert prog.history[0] == pytest.approx(
             reprogramming_loss(small_net, evl.images, evl.labels,
                                np.zeros((3, 16, 16)), mask, cm), abs=1e-12)
+
+
+class TestMergeZeroProgram:
+    """optimize_program(initial_loss=inf) keeps the best epoch only; merging the
+    zero program afterwards must give what optimize_program(initial_loss=L)
+    gives directly."""
+
+    @pytest.fixture
+    def optimize(self, small_net):
+        opt_set, eval_set = _padded_target(n=20, seed=8), _padded_target(n=30, seed=9)
+        mask = build_frame_mask((3, 16, 16), (8, 8), 12)
+        cm = build_class_map(10, "first-ten")
+
+        def optimize(epochs, initial_loss, step_callback=None):
+            cfg = ReprogramConfig(eta=0.05, epochs=epochs, batch_size=10, seed=4)
+            return optimize_program(small_net, opt_set, eval_set, mask, cm, cfg,
+                                    initial_loss=initial_loss, step_callback=step_callback)
+
+        return optimize
+
+    @pytest.mark.parametrize("case", ["epochs_win", "zero_wins", "tie", "no_epochs"])
+    def test_merge_equals_direct_optimization(self, optimize, case):
+        epochs = 0 if case == "no_epochs" else 3
+        best_epoch = optimize(epochs, math.inf)
+        best = best_epoch.best_loss
+        initial = {"epochs_win": best + 0.5, "zero_wins": best - 0.5, "tie": best,
+                   "no_epochs": 2.0}[case]
+        direct = optimize(epochs, initial)
+        merged = merge_zero_program(initial, best_epoch)
+        assert merged.history == direct.history
+        assert merged.best_loss == direct.best_loss
+        assert merged.delta.array.tobytes() == direct.delta.array.tobytes()
+        zero_wins = case != "epochs_win"
+        assert merged.best_loss == (initial if zero_wins else best)
+        assert np.array_equal(merged.delta.array,
+                              np.zeros((3, 16, 16)) if zero_wins else best_epoch.delta.array)
+
+    def test_best_epoch_is_first_minimum(self, optimize):
+        epoch_ends = {}
+        prog = optimize(4, math.inf, lambda e, b, d: epoch_ends.__setitem__(e, d))
+        losses = prog.history[1:]
+        first = losses.index(min(losses))
+        assert prog.history[0] == math.inf and len(losses) == 4
+        assert prog.best_loss == losses[first]
+        assert np.array_equal(prog.delta.array, epoch_ends[first])
+
+    def test_non_finite_zero_loss_rejected(self, optimize):
+        with pytest.raises(NumericError):
+            merge_zero_program(float("nan"), optimize(1, math.inf))
+        with pytest.raises(NumericError):
+            optimize(1, float("nan"))
 
 
 class TestProgramCheckpoint:

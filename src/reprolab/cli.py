@@ -17,9 +17,9 @@ import math
 import os
 import sys
 import traceback
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -91,9 +91,14 @@ def _load_raw(spec: DatasetSpec, seed: int, train: bool) -> LabeledDataset:
         if spec.test_images is None:
             raise ConfigurationError(f"{spec.display_name}: no test IDX files configured")
         return load_idx(spec.test_images, spec.test_labels)
-    per_class = spec.per_class if train else spec.test_per_class
+    if train:
+        return _synthesize(spec, seed, spec.per_class)
+    return _synthesize(spec, seed + 1, spec.test_per_class)
+
+
+def _synthesize(spec: DatasetSpec, seed: int, per_class: int) -> LabeledDataset:
     return synth_target_dataset(
-        seed=seed + (0 if train else 1),
+        seed=seed,
         num_classes=spec.num_classes,
         per_class=per_class,
         size=spec.image_size,
@@ -134,13 +139,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir=None) -> Path:
         train_ds = preprocess(raw_train, pad)
         test_ds = preprocess(raw_test, pad)
         net.set_input_standardization(train_ds)
-        train_cfg = cfg.train
-        if train_cfg.seed != cfg.seed:
-            train_cfg = type(train_cfg)(
-                epochs=train_cfg.epochs, learning_rate=train_cfg.learning_rate,
-                momentum=train_cfg.momentum, batch_size=train_cfg.batch_size, seed=cfg.seed,
-            )
-        net, history = train_sgd(net, train_ds, train_cfg)
+        net, history = train_sgd(net, train_ds, replace(cfg.train, seed=cfg.seed))
         test_accuracy = accuracy(net, test_ds)
 
     save_model(net, out_dir)
@@ -281,16 +280,7 @@ def synth_or_idx_target(cfg: ExperimentConfig) -> LabeledDataset:
     if cfg.target.kind == "idx":
         return _load_raw(cfg.target, cfg.seed, train=True)
     per_class = max(cfg.target.per_class, -(-needed // cfg.target.num_classes))
-    return synth_target_dataset(
-        seed=cfg.seed + 2,
-        num_classes=cfg.target.num_classes,
-        per_class=per_class,
-        size=cfg.target.image_size,
-        family=cfg.target.family,
-        noise_amplitude=cfg.target.noise_amplitude,
-        max_shift=cfg.target.max_shift,
-        name=cfg.target.display_name,
-    )
+    return _synthesize(cfg.target, cfg.seed + 2, per_class)
 
 
 def cmd_reprogram(cfg: ExperimentConfig, model_dir, out_dir=None) -> MetricsRecord:
@@ -426,73 +416,30 @@ def _run_now(task, sweep: _Sweep, *args) -> Future:
     return future
 
 
-@dataclass
-class _Graph:
-    """A sweep's task graph and the results so far.
+def _schedule(sweep: _Sweep, submit, futures: dict[tuple, Future]) -> None:
+    """Run a sweep's tasks; ``submit(task, *args)`` returns a future.
 
-    The zero-program task and each mask's optimization task are ready at once.
-    A mask's post task is ready once its optimization and the zero-program
-    task are done.
+    The zero-program task and every mask's optimization are submitted at once.
+    Then, in mask order, each mask whose optimization gave a program gets its
+    post task. ``futures`` maps ("zero", None), ("optimize", i) and ("post", i)
+    to their futures: a future that holds a result is reused, and a task whose
+    pool broke under it is submitted again, so a retry picks up where a broken
+    pool left off. Raises what a task raised, BrokenProcessPool included.
     """
+    def start(key, task, *args) -> Future:
+        future = futures.get(key)
+        if future is None or isinstance(future.exception(), BrokenProcessPool):
+            future = futures[key] = submit(task, *args)
+        return future
 
-    sweep: _Sweep
-    zero: dict[int, ZeroProgram] | None = None
-    programs: dict[int, Program] = field(default_factory=dict)
-    rows: dict[int, dict] = field(default_factory=dict)
-    failures: dict[int, _TaskError] = field(default_factory=dict)
-
-    def _open(self) -> list[int]:
-        return [i for i in self.sweep.masks if i not in self.rows and i not in self.failures]
-
-    def ready(self) -> list[tuple]:
-        """The tasks not run yet whose inputs are all present, zero task first."""
-        open_masks = self._open()
-        keys = [("zero", None)] if self.zero is None and open_masks else []
-        keys += [("optimize", i) for i in open_masks if i not in self.programs]
-        if self.zero is not None:
-            keys += [("post", i) for i in open_masks if i in self.programs]
-        return keys
-
-    def call(self, key: tuple) -> tuple:
-        """The task function of ``key`` and its arguments after the sweep."""
-        kind, i = key
-        if kind == "zero":
-            return (_zero_task,)
-        if kind == "optimize":
-            return (_optimize_task, i)
-        return (_post_task, i, self.zero[i], self.programs[i])
-
-    def record(self, key: tuple, value) -> list[tuple]:
-        """Store a task's result; returns the tasks it made ready."""
-        kind, i = key
-        if kind == "zero":
-            self.zero = value
-            return [("post", j) for j in self._open() if j in self.programs]
-        if isinstance(value, _TaskError):
-            self.failures[i] = value
-        elif kind == "optimize":
-            self.programs[i] = value
-            return [("post", i)] if self.zero is not None else []
-        else:
-            self.rows[i] = value
-        return []
-
-
-def _drive(graph: _Graph, submit) -> None:
-    """Run the graph until no task is left; ``submit(task, *args)`` returns a future.
-
-    Results are recorded in submission order among the tasks that finish
-    together, so an inline run goes through the tasks in a fixed order.
-    """
-    pending = graph.ready()
-    running: dict[Future, tuple] = {}
-    while pending or running:
-        for key in pending:
-            running[submit(*graph.call(key))] = key
-        pending = []
-        done, _ = wait(running, return_when=FIRST_COMPLETED)
-        for future in [f for f in running if f in done]:
-            pending += graph.record(running.pop(future), future.result())
+    zero = start(("zero", None), _zero_task)
+    optimized = {i: start(("optimize", i), _optimize_task, i) for i in sweep.masks}
+    for i, future in optimized.items():
+        program = future.result()
+        if not isinstance(program, _TaskError):
+            start(("post", i), _post_task, i, zero.result()[i], program)
+    for future in futures.values():
+        future.result()
 
 
 def _in_own_worker(sweep: _Sweep, task, *args):
@@ -512,14 +459,15 @@ def cmd_sweep(cfg: ExperimentConfig, model_dir, out_dir=None, jobs: int = 1) -> 
     """One reprogramming run per mask outer size; failures isolate per run.
 
     The parent loads the checkpoint and builds the target sets once, then runs
-    the sweep's task graph (see _Graph): inline in a fixed order at ``jobs`` =
-    1, otherwise on one pool of ``jobs`` workers. An error in the zero-program
-    task fails the sweep. A size whose mask cannot be built, or whose task
-    raises, fails alone. When a worker dies, the unfinished tasks run again
-    one at a time, each in a fresh worker (_in_own_worker). Returns (records,
-    failures). The combined CSV, JSON lines and ``failures.json`` are written
-    afresh, rows in the order the sizes were given, so a re-run into the same
-    directory replaces them.
+    the sweep's tasks (_schedule): one zero-program task, and per mask an
+    optimization followed by a post task. At ``jobs`` = 1 they run inline in a
+    fixed order, otherwise on one pool of ``jobs`` workers. An error in the
+    zero-program task fails the sweep. A size whose mask cannot be built, or
+    whose task raises, fails alone. When a worker dies, finished results are
+    kept and the lost tasks run again one at a time, each in a fresh worker
+    (_in_own_worker). Returns (records, failures). The combined CSV, JSON
+    lines and ``failures.json`` are written afresh, rows in the order the
+    sizes were given, so a re-run into the same directory replaces them.
     """
     sizes = list(cfg.mask_outer_sizes)
     if len(sizes) < 2:
@@ -536,22 +484,28 @@ def cmd_sweep(cfg: ExperimentConfig, model_dir, out_dir=None, jobs: int = 1) -> 
         except ReproLabError as exc:
             failures[i] = _TaskError.of(exc)
     net = load_model(model_dir)
-    rows: dict[int, dict] = {}
+    futures: dict[tuple, Future] = {}
     if masks:
         sweep = _Sweep(cfg, net, _target_sets(cfg), masks, sizes, run_dirs)
-        graph = _Graph(sweep)
         if jobs > 1:
             try:
                 with _pool(sweep, min(jobs, len(masks) + 1)) as pool:
-                    _drive(graph, lambda task, *args: pool.submit(_in_worker, task, *args))
+                    _schedule(sweep, lambda task, *args: pool.submit(_in_worker, task, *args),
+                              futures)
             except BrokenProcessPool:
-                # A worker died; run what is left again, each task in a fresh worker.
-                _drive(graph, lambda task, *args: _run_now(_in_own_worker, sweep, task, *args))
+                # A worker died; run the lost tasks again, each in a fresh worker.
+                _schedule(sweep, lambda task, *args: _run_now(_in_own_worker, sweep, task, *args),
+                          futures)
         else:
-            _drive(graph, lambda task, *args: _run_now(task, sweep, *args))
-        rows = graph.rows
-        failures.update(graph.failures)
+            _schedule(sweep, lambda task, *args: _run_now(task, sweep, *args), futures)
 
+    rows: dict[int, dict] = {}
+    for (kind, i), future in futures.items():
+        value = future.result()
+        if isinstance(value, _TaskError):
+            failures[i] = value
+        elif kind == "post":
+            rows[i] = value
     records = [MetricsRecord(**rows[i]) for i in sorted(rows)]
     write_metrics(records, out_dir / "metrics.csv", out_dir / "metrics.jsonl")
     failures_path = out_dir / "failures.json"

@@ -379,6 +379,33 @@ class TestSweepTaskGraph:
         assert entry["pid"] != os.getpid()
         self._assert_others_match(clean_sweep, out, 12)
 
+    def test_dead_post_worker_keeps_finished_results(self, pipeline, clean_sweep, tmp_path,
+                                                     monkeypatch):
+        # Forked workers inherit the patched names; the log file counts their calls too.
+        log = tmp_path / "optimized.log"
+        optimize, align = cli.optimize_program, cli.alignment_stats
+
+        def logged(net, opt_set, eval_set, mask, *args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{_mask_outer(mask)}\n")
+            return optimize(net, opt_set, eval_set, mask, *args, **kwargs)
+
+        def dying(net, dataset, prog, mask, *args, **kwargs):
+            if _mask_outer(mask) == 12:
+                os._exit(1)
+            return align(net, dataset, prog, mask, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "optimize_program", logged)
+        monkeypatch.setattr(cli, "alignment_stats", dying)
+        out = tmp_path / "sweep"
+        _, (records, failures) = self._sweep(pipeline, out)
+        assert [size for size, _ in failures] == [12]
+        assert failures[0][1].startswith("BrokenProcessPool")
+        assert len(records) == 2
+        # The retry reused mask 12's finished optimization instead of running it again.
+        assert log.read_text().split().count("12") == 1
+        self._assert_others_match(clean_sweep, out, 12)
+
     def test_pool_caps_blas_threads(self):
         if cli._openblas() is None:
             pytest.skip("numpy's BLAS does not export scipy_openblas_get_num_threads64_")

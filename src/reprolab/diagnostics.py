@@ -22,9 +22,13 @@ import numpy as np
 from . import tensor as T
 from .datasets import LabeledDataset
 from .errors import ConfigurationError
-from .models import Network, accuracy, predict_batch
+from .models import Network, accuracy, forward_framed
+# Not called here since the predictions take the framed forward, but part of
+# this module's namespace: perfbench/spans.py wraps it where diagnostics
+# would look it up.
+from .models import predict_batch  # noqa: F401
 from .reprogram import ClassMap, Mask, Program, _delta_array
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 CSV_HEADER = [
     "source", "target", "model", "trained", "mask_size",
@@ -133,26 +137,33 @@ def domain_alignment(net: Network, target_set: LabeledDataset, class_map: ClassM
     return accuracy(net, target_set, mapping=class_map.map)
 
 
+def _predictions(net, images: np.ndarray, offset: np.ndarray, batch_size: int) -> np.ndarray:
+    """Argmax predictions (ties: lowest class index) for images + offset, in chunks."""
+    offset = Tensor(offset)
+    preds = []
+    with no_grad():
+        for start in range(0, len(images), batch_size):
+            logits = forward_framed(net, images[start:start + batch_size], offset)
+            preds.append(logits.array.argmax(axis=1))
+    return np.concatenate(preds)
+
+
 def reprogramming_accuracy(net: Network, target_set: LabeledDataset, prog, mask: Mask,
                            class_map: ClassMap, batch_size: int = 200) -> float:
     """Mapped accuracy on perturbed target samples x + delta o M."""
-    delta = _delta_array(prog)
-    mapped = class_map.apply(target_set.labels)
-    images = target_set.images.array
-    hits = 0
-    for start in range(0, len(target_set), batch_size):
-        stop = min(start + batch_size, len(target_set))
-        pred, _ = predict_batch(net, images[start:stop] + delta * mask.array)
-        hits += int((pred == mapped[start:stop]).sum())
-    return hits / len(target_set)
+    pred = _predictions(net, target_set.images.array, _delta_array(prog) * mask.array,
+                        batch_size)
+    return int((pred == class_map.apply(target_set.labels)).sum()) / len(target_set)
 
 
 def diagonal_accuracy(counts: np.ndarray) -> float:
     """Mapped accuracy from a confusion matrix: its diagonal over the sample count.
 
-    Equal bit for bit to domain_alignment (zero-program counts) and
-    reprogramming_accuracy (counts after the program) on the same set: all
-    three count hits of the same 200-sample chunks and divide by n.
+    Equal bit for bit to reprogramming_accuracy on the same set and program:
+    both take the predictions of the same framed forward and divide the hits
+    by n. domain_alignment runs the tape path (models.accuracy) instead, so it
+    equals the zero-program counts' diagonal accuracy wherever the two paths
+    pick the same argmax; their logits agree to rounding.
     """
     return int(np.trace(counts)) / int(counts.sum())
 
@@ -299,14 +310,12 @@ def confusion_matrix(net: Network, target_set: LabeledDataset, prog, mask: Mask,
     """
     k = target_set.num_classes
     delta = np.zeros(mask.array.shape) if prog is None else _delta_array(prog)
-    inverse = class_map.inverse()
+    pred = _predictions(net, target_set.images.array, delta * mask.array, batch_size)
+    # The map is injective, so each prediction matches at most one target class.
+    match = pred[:, None] == class_map.map[None, :]
+    column = np.where(match.any(axis=1), match.argmax(axis=1), k)
     counts = np.zeros((k, k + 1), dtype=np.int64)
-    images = target_set.images.array
-    for start in range(0, len(target_set), batch_size):
-        stop = min(start + batch_size, len(target_set))
-        pred, _ = predict_batch(net, images[start:stop] + delta * mask.array)
-        for true_label, source_pred in zip(target_set.labels[start:stop], pred):
-            counts[true_label, inverse.get(int(source_pred), k)] += 1
+    np.add.at(counts, (target_set.labels, column), 1)
     return counts
 
 

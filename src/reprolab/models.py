@@ -214,6 +214,93 @@ class Network:
         self.standardize.set(mean, std)
 
 
+# -- framed forward ------------------------------------------------------------------
+#
+# Every input the reprogramming loop feeds the network is x_i + offset, with x_i
+# zero outside a small window. Outside the window all samples of a batch are the
+# same, and so is every feature map up to Flatten outside the window grown by
+# the receptive field. forward_framed computes that shared part once on a
+# batch-1 canvas and only the grown window per sample.
+
+
+def _frame_windows(net, images: np.ndarray) -> list[tuple[int, int, int, int]] | None:
+    """Per-sample crop window (r0, r1, c0, c1) at the input of each layer up to Flatten.
+
+    The first is the bounding box of the pixels nonzero in any sample and
+    channel. None when the net is not a Network, a layer before Flatten is not
+    a known kind, or a conv's grown window would reach past its input's edge.
+    """
+    if not isinstance(net, Network) or images.ndim != 4 or images.shape[1:] != net.input_shape:
+        return None
+    nonzero = (images != 0).any(axis=(0, 1))
+    rows, cols = np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
+    if rows.size == 0:
+        return None
+    r0, r1, c0, c1 = int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+    h, w = net.input_shape[1:]
+    windows = []
+    for layer in net.layers:
+        windows.append((r0, r1, c0, c1))
+        if isinstance(layer, Flatten):
+            return windows
+        if isinstance(layer, Conv):
+            ring, p = layer.weight.shape[-1] - 1, layer.padding
+            if r0 < ring or c0 < ring or r1 + ring > h or c1 + ring > w:
+                return None
+            r0, r1, c0, c1 = r0 + p - ring, r1 + p, c0 + p - ring, c1 + p
+            h, w = h + 2 * p - ring, w + 2 * p - ring
+        elif isinstance(layer, MaxPool):
+            s = layer.window
+            r0, r1, c0, c1 = r0 // s, -(-r1 // s), c0 // s, -(-c1 // s)
+            h, w = h // s, w // s
+        elif not isinstance(layer, (Standardize, ReLU, Dropout)):
+            return None
+    return None
+
+
+def forward_framed(net, images: np.ndarray, offset: Tensor) -> Tensor:
+    """Evaluation-mode logits of ``images + offset``, sharing the frame across the batch.
+
+    ``images`` is (N, C, H, W) and ``offset`` (C, H, W). The layers up to
+    Flatten run twice: once on a batch-1 canvas holding ``offset``, and once
+    on per-sample crops of the window where some image is nonzero, grown by
+    each conv's reach and widened to pool alignment. A conv reads its crop's
+    ring from the canvas; at Flatten the crops are pasted into the canvas.
+    The result equals net.forward(images + offset) in real arithmetic. Other
+    models, other layer kinds and windows that grow past the input's edge
+    take that tape path.
+    """
+    windows = _frame_windows(net, images)
+    if windows is None:
+        return net.forward(T.add(Tensor(images), offset))
+    ctx = _Context()
+    flatten = len(windows) - 1
+    r0, r1, c0, c1 = windows[0]
+    canvas = T.reshape(offset, (1, *offset.shape))
+    crops = T.add(Tensor(images[:, :, r0:r1, c0:c1]), T.crop(canvas, (r0, r1), (c0, c1)))
+    for i, layer in enumerate(net.layers[:flatten]):
+        r0, r1, c0, c1 = windows[i]
+        if isinstance(layer, Conv):
+            ring = layer.weight.shape[-1] - 1
+            crops = T.paste(T.crop(canvas, (r0 - ring, r1 + ring), (c0 - ring, c1 + ring)),
+                            crops, ring, ring)
+            crops = T.add(T.conv2d(crops, layer.weight, stride=1, padding=0),
+                          T.reshape(layer.bias, (-1, 1, 1)))
+        elif isinstance(layer, MaxPool):
+            a0, a1, b0, b1 = (v * layer.window for v in windows[i + 1])
+            if (a0, a1, b0, b1) != (r0, r1, c0, c1):
+                crops = T.paste(T.crop(canvas, (a0, a1), (b0, b1)), crops, r0 - a0, c0 - b0)
+            crops = layer.forward(crops, ctx)
+        else:
+            crops = layer.forward(crops, ctx)
+        canvas = layer.forward(canvas, ctx)
+    r0, _, c0, _ = windows[flatten]
+    out = T.paste(canvas, crops, r0, c0)
+    for layer in net.layers[flatten:]:
+        out = layer.forward(out, ctx)
+    return out
+
+
 def _scaled(count: int, width_scale: float) -> int:
     return max(1, round(count * width_scale))
 

@@ -19,6 +19,7 @@ import numpy as np
 from . import tensor as T
 from .datasets import LabeledDataset, make_batches
 from .errors import ConfigurationError, InjectivityError, NumericError, ShapeError
+from .models import forward_framed
 from .tensor import Tensor, load_tensor, no_grad, save_tensor
 
 
@@ -183,11 +184,12 @@ def _mean_loss(net, images: np.ndarray, offset: np.ndarray, mapped: np.ndarray,
                loss_fn) -> float:
     """Graph-free mean loss of images + offset in evaluation chunks."""
     total, count = 0.0, 0
+    offset = Tensor(offset)
     with no_grad():
         for start in range(0, len(images), 200):
             stop = min(start + 200, len(images))
-            x = Tensor(images[start:stop] + offset)
-            value = loss_fn(net.forward(x), mapped[start:stop]).item()
+            logits = forward_framed(net, images[start:stop], offset)
+            value = loss_fn(logits, mapped[start:stop]).item()
             total += value * (stop - start)
             count += stop - start
     return total / count
@@ -225,15 +227,17 @@ def average_masked_gradient(net, images, labels, prog, mask: Mask, class_map: Cl
     """(1/B) sum of per-sample input gradients at x_i + delta o M, masked.
 
     Computed as the gradient of the mean batch loss with respect to delta,
-    which the chain rule through delta o M masks exactly (zero off-mask).
+    which the chain rule through delta o M masks exactly (zero off-mask). The
+    forward shares the frame across the batch (models.forward_framed), so the
+    backward sums the batch's cotangents on the shared region and runs once.
     """
     if len(np.asarray(labels)) == 0:
         raise ConfigurationError("average_masked_gradient needs a nonempty batch")
     loss_fn = loss_fn or T.softmax_cross_entropy
     delta_t = Tensor(_delta_array(prog), requires_grad=True)
-    x = images if isinstance(images, Tensor) else Tensor(images)
-    x_pert = T.add(x, T.mul(delta_t, Tensor(mask.array)))
-    loss = loss_fn(net.forward(x_pert), class_map.apply(labels))
+    x = images.array if isinstance(images, Tensor) else np.asarray(images, dtype=np.float64)
+    logits = forward_framed(net, x, T.mul(delta_t, Tensor(mask.array)))
+    loss = loss_fn(logits, class_map.apply(labels))
     if not np.isfinite(loss.item()):
         raise NumericError("non-finite loss while computing the average input gradient")
     T.backward(loss)

@@ -451,6 +451,44 @@ def maxpool2d(x: Tensor, window: int = 2) -> Tensor:
     return _make_node(out[0] if single else out, (x,), rule)
 
 
+# -- shared-frame windows -------------------------------------------------------
+
+
+def crop(a: Tensor, rows: tuple[int, int], cols: tuple[int, int]) -> Tensor:
+    """The ``rows`` x ``cols`` window of a batched (N, C, H, W) tensor."""
+    (r0, r1), (c0, c1) = rows, cols
+
+    def rule(grad: np.ndarray) -> None:
+        if a.requires_grad:
+            full = np.zeros_like(a.array)
+            full[:, :, r0:r1, c0:c1] = grad
+            _accumulate(a, full, owned=True)
+
+    return _make_node(a.array[:, :, r0:r1, c0:c1], (a,), rule)
+
+
+def paste(canvas: Tensor, patch: Tensor, top: int, left: int) -> Tensor:
+    """A batch-1 ``canvas`` broadcast over ``patch``'s batch, with ``patch`` at (top, left).
+
+    ``canvas`` is (1, C, H, W) and ``patch`` (N, C, h, w); the result is
+    (N, C, H, W). The canvas's gradient sums the batch outside the patch.
+    """
+    n, _, h, w = patch.shape
+    window = (slice(None), slice(None), slice(top, top + h), slice(left, left + w))
+    out = np.repeat(canvas.array, n, axis=0)
+    out[window] = patch.array
+
+    def rule(grad: np.ndarray) -> None:
+        if patch.requires_grad:
+            _accumulate(patch, grad[window])
+        if canvas.requires_grad:
+            shared = grad.sum(axis=0, keepdims=True)
+            shared[window] = 0.0
+            _accumulate(canvas, shared, owned=True)
+
+    return _make_node(out, (canvas, patch), rule)
+
+
 # -- loss ----------------------------------------------------------------------
 
 

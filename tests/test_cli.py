@@ -29,7 +29,7 @@ from reprolab.diagnostics import (
     reprogramming_accuracy,
 )
 from reprolab.errors import ConfigurationError, SchemaError
-from reprolab.models import TrainConfig, load_model
+from reprolab.models import TrainConfig, _frame_windows, load_model
 from reprolab.reprogram import (
     ReprogramConfig,
     build_class_map,
@@ -263,6 +263,21 @@ class TestSweepCommand:
                 reprogramming_accuracy(net, metrics_set, prog, mask, cm), r0, rn, g_l1)
             assert prog.history[0] == reprogramming_loss(
                 net, eval_set.images, eval_set.labels, zero, mask, cm)
+
+    def test_parallel_same_bytes_on_the_framed_path(self, tmp_path):
+        # At 16x16 the grown image window reaches the border and every forward
+        # takes the tape path; at 32x32 around an 8x8 image the framed one runs.
+        cfg = _tiny_config(tmp_path / "experiment", seed=3)
+        cfg.model = ModelSpec(input_shape=(3, 32, 32), width_scale=0.25, trained=True)
+        cfg.mask_outer_sizes = [12, 20, 32]
+        model_dir = cmd_train(cfg)
+        net = load_model(model_dir)
+        images = _target_sets(cfg)[0].images.array
+        assert _frame_windows(net, images) is not None
+        cmd_sweep(cfg, model_dir, tmp_path / "serial", jobs=1)
+        cmd_sweep(cfg, model_dir, tmp_path / "parallel", jobs=2)
+        assert _dir_hash(tmp_path / "parallel") == _dir_hash(tmp_path / "serial")
+        assert len(read_metrics_csv(tmp_path / "parallel" / "metrics.csv")) == 3
 
     def test_requires_two_sizes(self, pipeline, tmp_path):
         cfg = _tiny_config(pipeline["root"], seed=3)

@@ -121,6 +121,33 @@ class TestMaxPool:
             maxpool2d(Tensor(np.zeros((1, 5, 6))))
 
 
+class TestCropPaste:
+    def test_values(self, rng):
+        canvas = rng.normal(0, 1, (1, 2, 6, 7))
+        patch = rng.normal(0, 1, (3, 2, 2, 3))
+        assert np.array_equal(T.crop(Tensor(canvas), (1, 4), (2, 6)).array,
+                              canvas[:, :, 1:4, 2:6])
+        out = T.paste(Tensor(canvas), Tensor(patch), 3, 1).array
+        expected = np.repeat(canvas, 3, axis=0)
+        expected[:, :, 3:5, 1:4] = patch
+        assert np.array_equal(out, expected)
+
+    def test_gradients_match_finite_differences(self, rng):
+        canvas = Tensor(rng.normal(0, 1, (1, 2, 6, 7)))
+        patch = Tensor(rng.normal(0, 1, (3, 2, 2, 3)))
+        weights = Tensor(rng.normal(0, 1, (3, 2, 6, 7)))
+
+        def of_canvas(c):
+            ringed = T.paste(T.crop(c, (1, 5), (1, 6)), patch, 1, 1)
+            return (T.paste(c, ringed, 1, 1) * weights).sum()
+
+        def of_patch(p):
+            return (T.paste(canvas, p, 3, 1) * weights).sum()
+
+        assert finite_diff_check(of_canvas, canvas) < 1e-8
+        assert finite_diff_check(of_patch, patch) < 1e-8
+
+
 class TestReLU:
     def test_basic(self):
         assert np.array_equal(relu(Tensor([-1.0, 0.0, 2.0])).array, [0.0, 0.0, 2.0])

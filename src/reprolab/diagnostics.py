@@ -161,9 +161,10 @@ def diagonal_accuracy(counts: np.ndarray) -> float:
 
     Equal bit for bit to reprogramming_accuracy on the same set and program:
     both take the predictions of the same framed forward and divide the hits
-    by n. domain_alignment runs the tape path (models.accuracy) instead, so it
-    equals the zero-program counts' diagonal accuracy wherever the two paths
-    pick the same argmax; their logits agree to rounding.
+    by n. domain_alignment (models.accuracy) takes that framed forward too,
+    with a zero offset in batches of its own size, so it equals the
+    zero-program counts' diagonal accuracy wherever the two batchings pick the
+    same argmax; their logits agree to rounding.
     """
     return int(np.trace(counts)) / int(counts.sum())
 

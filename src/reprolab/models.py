@@ -125,8 +125,11 @@ class Dropout:
         self.rate = rate
         self.enabled = enabled
 
+    def active(self, ctx: _Context) -> bool:
+        return self.enabled and ctx.training and ctx.rng is not None and self.rate > 0
+
     def forward(self, x: Tensor, ctx: _Context) -> Tensor:
-        if self.enabled and ctx.training and ctx.rng is not None and self.rate > 0:
+        if self.active(ctx):
             return T.dropout(x, self.rate, ctx.rng)
         return x
 
@@ -217,21 +220,27 @@ class Network:
 # -- framed forward ------------------------------------------------------------------
 #
 # Every input the reprogramming loop feeds the network is x_i + offset, with x_i
-# zero outside a small window. Outside the window all samples of a batch are the
-# same, and so is every feature map up to Flatten outside the window grown by
-# the receptive field. forward_framed computes that shared part once on a
-# batch-1 canvas and only the grown window per sample.
+# zero outside a small window; a training or evaluation batch is the same with a
+# zero offset. Outside the window all samples of a batch are the same, and so is
+# every feature map outside the window grown by the receptive field, up to the
+# first layer that makes samples differ: Flatten, or a Dropout active in the
+# context. forward_framed computes that shared part once on a batch-1 canvas and
+# only the grown window per sample.
 
 
-def _frame_windows(net, images: np.ndarray) -> list[tuple[int, int, int, int]] | None:
-    """Per-sample crop window (r0, r1, c0, c1) at the input of each layer up to Flatten.
+def _frame_windows(net, images: np.ndarray,
+                   ctx: _Context | None = None) -> list[tuple[int, int, int, int]] | None:
+    """Per-sample crop window (r0, r1, c0, c1) at the input of each layer up to the frame's end.
 
-    The first is the bounding box of the pixels nonzero in any sample and
-    channel. None when the net is not a Network, a layer before Flatten is not
-    a known kind, or a conv's grown window would reach past its input's edge.
+    The frame ends at Flatten or at the first Dropout active in ``ctx``
+    (evaluation when None); the last window is that layer's input. The first
+    is the bounding box of the pixels nonzero in any sample and channel. None
+    when the net is not a Network, a layer before the end is not a known
+    kind, or a conv's grown window would reach past its input's edge.
     """
     if not isinstance(net, Network) or images.ndim != 4 or images.shape[1:] != net.input_shape:
         return None
+    ctx = ctx or _Context()
     nonzero = (images != 0).any(axis=(0, 1))
     rows, cols = np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
     if rows.size == 0:
@@ -241,7 +250,7 @@ def _frame_windows(net, images: np.ndarray) -> list[tuple[int, int, int, int]] |
     windows = []
     for layer in net.layers:
         windows.append((r0, r1, c0, c1))
-        if isinstance(layer, Flatten):
+        if isinstance(layer, Flatten) or (isinstance(layer, Dropout) and layer.active(ctx)):
             return windows
         if isinstance(layer, Conv):
             ring, p = layer.weight.shape[-1] - 1, layer.padding
@@ -258,27 +267,32 @@ def _frame_windows(net, images: np.ndarray) -> list[tuple[int, int, int, int]] |
     return None
 
 
-def forward_framed(net, images: np.ndarray, offset: Tensor) -> Tensor:
-    """Evaluation-mode logits of ``images + offset``, sharing the frame across the batch.
+def forward_framed(net, images: np.ndarray, offset: Tensor, training: bool = False,
+                   rng: np.random.Generator | None = None) -> Tensor:
+    """Logits of ``images + offset``, sharing the frame across the batch.
 
-    ``images`` is (N, C, H, W) and ``offset`` (C, H, W). The layers up to
-    Flatten run twice: once on a batch-1 canvas holding ``offset``, and once
-    on per-sample crops of the window where some image is nonzero, grown by
-    each conv's reach and widened to pool alignment. A conv reads its crop's
-    ring from the canvas; at Flatten the crops are pasted into the canvas.
-    The result equals net.forward(images + offset) in real arithmetic. Other
-    models, other layer kinds and windows that grow past the input's edge
-    take that tape path.
+    ``images`` is (N, C, H, W) and ``offset`` (C, H, W); ``training`` and
+    ``rng`` are net.forward's. The layers before the frame's end (Flatten, or
+    the first Dropout active in training) run twice: once on a batch-1 canvas
+    holding ``offset``, and once on per-sample crops of the window where some
+    image is nonzero, grown by each conv's reach and widened to pool
+    alignment. A conv reads its crop's ring from the canvas; at the frame's
+    end the crops are pasted into the canvas, and the remaining layers run at
+    full batch shape, so an active Dropout draws the same mask as on the tape.
+    The result and the parameter gradients equal net.forward(images + offset,
+    training, rng)'s in real arithmetic. Other models, other layer kinds and
+    windows that grow past the input's edge take that tape path.
     """
-    windows = _frame_windows(net, images)
+    ctx = _Context(training=training, rng=rng)
+    windows = _frame_windows(net, images, ctx)
     if windows is None:
-        return net.forward(T.add(Tensor(images), offset))
-    ctx = _Context()
-    flatten = len(windows) - 1
+        x = T.add(Tensor(images), offset)
+        return net.forward(x, training=True, rng=rng) if training else net.forward(x)
+    end = len(windows) - 1
     r0, r1, c0, c1 = windows[0]
     canvas = T.reshape(offset, (1, *offset.shape))
     crops = T.add(Tensor(images[:, :, r0:r1, c0:c1]), T.crop(canvas, (r0, r1), (c0, c1)))
-    for i, layer in enumerate(net.layers[:flatten]):
+    for i, layer in enumerate(net.layers[:end]):
         r0, r1, c0, c1 = windows[i]
         if isinstance(layer, Conv):
             ring = layer.weight.shape[-1] - 1
@@ -294,9 +308,9 @@ def forward_framed(net, images: np.ndarray, offset: Tensor) -> Tensor:
         else:
             crops = layer.forward(crops, ctx)
         canvas = layer.forward(canvas, ctx)
-    r0, _, c0, _ = windows[flatten]
+    r0, _, c0, _ = windows[end]
     out = T.paste(canvas, crops, r0, c0)
-    for layer in net.layers[flatten:]:
+    for layer in net.layers[end:]:
         out = layer.forward(out, ctx)
     return out
 
@@ -364,7 +378,11 @@ def init_weights(net: Network, seed: int, mode: str = "trained-init") -> Network
 def train_sgd(net: Network, ds: LabeledDataset, cfg: TrainConfig) -> tuple[Network, list[float]]:
     """Classical-momentum SGD (v <- m v + g; theta <- theta - lr v).
 
-    Returns the trained network and the per-epoch mean training loss.
+    Each batch's forward is forward_framed with a zero offset: the frame
+    around the images is shared up to the first active Dropout, which then
+    draws the tape path's mask from the same generator. Losses and gradients
+    equal the tape path's in real arithmetic. Returns the trained network and
+    the per-epoch mean training loss.
     """
     if ds.images.shape[1:] != net.input_shape:
         raise ShapeError(
@@ -374,13 +392,14 @@ def train_sgd(net: Network, ds: LabeledDataset, cfg: TrainConfig) -> tuple[Netwo
     net.set_requires_grad(True)
     velocity = [np.zeros_like(p.array) for p in params]
     dropout_rng = np.random.default_rng([cfg.seed, 0xD0])
+    zero = Tensor(np.zeros(net.input_shape))
     history: list[float] = []
     for epoch in range(cfg.epochs):
         epoch_losses: list[float] = []
         for batch_index, batch in enumerate(make_batches(ds, cfg.batch_size, cfg.seed, epoch)):
-            x = Tensor(ds.images.array[batch])
-            labels = ds.labels[batch]
-            loss = T.softmax_cross_entropy(net.forward(x, training=True, rng=dropout_rng), labels)
+            logits = forward_framed(net, ds.images.array[batch], zero, training=True,
+                                    rng=dropout_rng)
+            loss = T.softmax_cross_entropy(logits, ds.labels[batch])
             value = loss.item()
             if not np.isfinite(value):
                 raise NumericError(f"training diverged at epoch {epoch}, batch {batch_index}")
@@ -398,9 +417,14 @@ def train_sgd(net: Network, ds: LabeledDataset, cfg: TrainConfig) -> tuple[Netwo
 
 
 def predict_batch(net: Network, images) -> tuple[np.ndarray, np.ndarray]:
-    """Argmax predictions (ties: lowest class index) and raw logits."""
+    """Argmax predictions (ties: lowest class index) and raw logits.
+
+    The forward is forward_framed with a zero offset, so a Network shares the
+    frame around the images across the batch; other models run ``forward``.
+    """
+    images = images.array if isinstance(images, Tensor) else np.asarray(images)
     with no_grad():
-        logits = net.forward(images).array
+        logits = forward_framed(net, images, Tensor(np.zeros(images.shape[1:]))).array
     return logits.argmax(axis=1), logits
 
 
@@ -443,12 +467,19 @@ def save_model(net: Network, directory) -> None:
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
 
 
+def _manifest_layer(manifest: dict, kind: str, directory: Path) -> dict:
+    layer = next((l for l in manifest["layers"] if l["kind"] == kind), None)
+    if layer is None:
+        raise FormatError(f"{directory}: manifest has no {kind} layer")
+    return layer
+
+
 def load_model(directory) -> Network:
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
     if manifest.get("format") != "reprolab-model-v1":
         raise FormatError(f"{directory}: not a model checkpoint")
-    dropout = next(l for l in manifest["layers"] if l["kind"] == "dropout")
+    dropout = _manifest_layer(manifest, "dropout", directory)
     net = build_cwnet(
         tuple(manifest["input_shape"]),
         num_classes=manifest["num_classes"],
@@ -456,7 +487,7 @@ def load_model(directory) -> Network:
         dropout_enabled=dropout["enabled"],
         dropout_rate=dropout["rate"],
     )
-    std = next(l for l in manifest["layers"] if l["kind"] == "standardize")
+    std = _manifest_layer(manifest, "standardize", directory)
     net.standardize.set(std["mean"], std["std"])
     net.seed = manifest.get("seed")
     net.mode = manifest.get("mode", "untrained-random")

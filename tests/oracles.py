@@ -1,7 +1,8 @@
 """Independent reference implementations the fast paths are checked against.
 
 Everything here is deliberately naive: explicit loops, arbitrary precision,
-or exhaustive enumeration. None of it shares code with the package.
+or exhaustive enumeration. None of it shares code with the package, except
+train_sgd_tape, which drives the network's own tape forward and backward.
 """
 
 import numpy as np
@@ -159,3 +160,39 @@ def permutation_pvalue_loop(x, y, coefficient, n_permutations=None, seed=0) -> f
     count = sum(abs(coefficient(x, rng.permutation(y))) >= threshold
                 for _ in range(n_permutations))
     return (count + 1) / (n_permutations + 1)
+
+
+def train_sgd_tape(net, images: np.ndarray, labels: np.ndarray, epochs: int,
+                   learning_rate: float, momentum: float, batch_size: int, seed: int):
+    """Classical-momentum SGD with net.forward on every full batch.
+
+    The batch order and the dropout generator are models.train_sgd's; the
+    forward is the tape path, with no frame shared across the batch.
+    Returns the per-epoch mean loss.
+    """
+    import reprolab.tensor as T
+
+    params = net.params
+    for p in params:
+        p.requires_grad = True
+    velocity = [np.zeros_like(p.array) for p in params]
+    dropout_rng = np.random.default_rng([seed, 0xD0])
+    history = []
+    for epoch in range(epochs):
+        perm = np.random.default_rng([seed, epoch]).permutation(len(images))
+        losses = []
+        for i in range(len(images) // batch_size):
+            batch = perm[i * batch_size:(i + 1) * batch_size]
+            logits = net.forward(T.Tensor(images[batch]), training=True, rng=dropout_rng)
+            loss = T.softmax_cross_entropy(logits, labels[batch])
+            losses.append(loss.item())
+            T.backward(loss)
+            for p, v in zip(params, velocity):
+                v *= momentum
+                v += p.grad if p.grad is not None else 0.0
+                p.array -= learning_rate * v
+                p.zero_grad()
+        history.append(float(np.mean(losses)))
+    for p in params:
+        p.requires_grad = False
+    return history

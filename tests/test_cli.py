@@ -501,6 +501,15 @@ class TestMainEntry:
         sweep_csv = tmp_path / "cli" / "sweep" / "metrics.csv"
         assert sweep_csv.exists()
 
+        manifest_path = model_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["layers"] = [l for l in manifest["layers"] if l["kind"] != "dropout"]
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        for command in ("reprogram", "sweep"):
+            assert main([command, "--config", str(cfg_path), "--model", str(model_dir)]) == 1
+            assert "no dropout layer" in capsys.readouterr().err
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("reprogram: {eta: -1}\n")

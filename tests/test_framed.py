@@ -3,8 +3,9 @@
 models.forward_framed computes the batch's shared frame once and only the
 grown image window per sample. In real arithmetic it equals
 net.forward(images + offset); in float64 the two differ by rounding only.
-Where the framed path does not apply, it must return the tape path's result
-exactly.
+Training (train_sgd) and prediction (predict_batch) take it with a zero
+offset. Where the framed path does not apply, it must return the tape path's
+result exactly.
 """
 
 import numpy as np
@@ -14,10 +15,15 @@ import reprolab.tensor as T
 from reprolab.datasets import PadSpec, preprocess, synth_target_dataset
 from reprolab.diagnostics import confusion_matrix, reprogramming_accuracy
 from reprolab.models import (
+    Dropout,
+    TrainConfig,
+    _Context,
     _frame_windows,
     build_cwnet,
     forward_framed,
     init_weights,
+    predict_batch,
+    train_sgd,
 )
 from reprolab.reprogram import (
     Mask,
@@ -27,6 +33,8 @@ from reprolab.reprogram import (
     reprogramming_loss,
 )
 from reprolab.tensor import Tensor, finite_diff_check
+
+from oracles import train_sgd_tape
 
 SHAPE = (3, 64, 64)
 INNER = (28, 28)
@@ -154,13 +162,90 @@ class TestFramedMatchesTape:
         assert finite_diff_check(loss, Tensor(base.array[:, :, 8:18, 4:14])) < 1e-6
 
 
+class TestTrainingMatchesTape:
+    """train_sgd shares the frame up to the active Dropout; the tape oracle does not."""
+
+    CFG = TrainConfig(epochs=2, learning_rate=0.05, momentum=0.9, batch_size=10, seed=6)
+
+    @staticmethod
+    def _net_and_data(shape, inner):
+        ds = preprocess(synth_target_dataset(6, per_class=3, size=inner, family="strokes",
+                                             noise_amplitude=40.0), PadSpec(shape, inner))
+        net = init_weights(build_cwnet(shape, width_scale=0.25, dropout_enabled=True), 6)
+        net.set_input_standardization(ds)
+        return net, ds
+
+    def _train_both(self, monkeypatch, shape, inner):
+        """Both loops from the same weights, with the dropout draws each made."""
+        draws = {"framed": [], "tape": []}
+        real = T.dropout
+
+        def recorded(into):
+            def dropout(a, rate, rng):
+                into.append((a.shape, rng))
+                return real(a, rate, rng)
+            return dropout
+
+        cfg = self.CFG
+        net, ds = self._net_and_data(shape, inner)
+        monkeypatch.setattr(T, "dropout", recorded(draws["framed"]))
+        _, history = train_sgd(net, ds, cfg)
+        tape_net, _ = self._net_and_data(shape, inner)
+        monkeypatch.setattr(T, "dropout", recorded(draws["tape"]))
+        tape_history = train_sgd_tape(tape_net, ds.images.array, ds.labels, cfg.epochs,
+                                      cfg.learning_rate, cfg.momentum, cfg.batch_size,
+                                      cfg.seed)
+        assert [d[0] for d in draws["framed"]] == [d[0] for d in draws["tape"]]
+        assert len(draws["framed"]) == cfg.epochs * (len(ds) // cfg.batch_size)
+        assert draws["framed"][-1][1].bit_generator.state == \
+            draws["tape"][-1][1].bit_generator.state
+        return net, tape_net, history, tape_history, ds
+
+    def test_frame_ends_at_the_active_dropout(self):
+        net, ds = self._net_and_data((3, 32, 32), (8, 8))
+        images = ds.images.array
+        training = _frame_windows(net, images, _Context(True, np.random.default_rng(0)))
+        assert isinstance(net.layers[len(training) - 1], Dropout)
+        assert len(training) < len(_frame_windows(net, images))
+
+    def test_losses_and_parameters(self, monkeypatch):
+        net, tape_net, history, tape_history, _ = self._train_both(
+            monkeypatch, (3, 32, 32), (8, 8))
+        assert history == pytest.approx(tape_history, rel=1e-12)
+        for got, want in zip(net.params, tape_net.params):
+            assert np.abs(got.array - want.array).max() <= 1e-12 * np.abs(want.array).max()
+
+    def test_window_at_the_border_trains_on_the_tape(self, monkeypatch):
+        net, tape_net, history, tape_history, ds = self._train_both(
+            monkeypatch, (3, 16, 16), (8, 8))
+        assert _frame_windows(net, ds.images.array) is None
+        assert history == tape_history
+        for got, want in zip(net.params, tape_net.params):
+            assert np.array_equal(got.array, want.array)
+
+
+class TestPredictBatch:
+    def test_logits_match_tape(self, net64):
+        images = _target((9, 21)).images.array
+        assert _framed_applies(net64, images)
+        pred, logits = predict_batch(net64, images)
+        tape = _tape_logits(net64, images, 0.0)
+        assert np.abs(logits - tape).max() <= 1e-12 * np.abs(tape).max()
+        assert np.array_equal(pred, tape.argmax(axis=1))
+
+    def test_tensor_images(self, net64):
+        images = _target().images.array
+        _, logits = predict_batch(net64, Tensor(images))
+        assert np.array_equal(logits, predict_batch(net64, images)[1])
+
+
 class LinearLogitsModel:
-    """Ten logits linear in the input; not a CWNet Network."""
+    """Ten logits linear in the input; not a CWNet Network, and forward takes x only."""
 
     def __init__(self, w: np.ndarray):
         self.w = w
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x):
         return T.matmul(T.reshape(x, (x.shape[0], -1)), Tensor(self.w))
 
 
@@ -180,6 +265,10 @@ class TestFallbackEqualsTape:
             _tape_loss(net, images, labels, offset)
         got = average_masked_gradient(net, images, labels, delta, mask, cm).array
         assert np.array_equal(got, _tape_gradient(net, images, labels, delta, mask))
+        pred, logits = predict_batch(net, images)
+        tape = _tape_logits(net, images, 0.0)
+        assert np.array_equal(logits, tape)
+        assert np.array_equal(pred, tape.argmax(axis=1))
 
     def test_window_growing_into_the_border(self, small_net):
         ds = preprocess(synth_target_dataset(0, per_class=2, size=(8, 8)),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reprolab.datasets import LabeledDataset, PadSpec, preprocess, synth_target_dataset
-from reprolab.errors import ConfigurationError, NumericError, ShapeError
+from reprolab.errors import ConfigurationError, FormatError, NumericError, ShapeError
 from reprolab.models import (
     Dense,
     Network,
@@ -208,3 +208,13 @@ class TestCheckpoint:
         kinds = [layer["kind"] for layer in manifest["layers"]]
         assert kinds[0] == "standardize"
         assert kinds[-1] == "softmax_head"
+
+    @pytest.mark.parametrize("kind", ["dropout", "standardize"])
+    def test_manifest_without_layer_kind(self, tmp_path, small_net, kind):
+        save_model(small_net, tmp_path / "ckpt")
+        path = tmp_path / "ckpt" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["layers"] = [l for l in manifest["layers"] if l["kind"] != kind]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match=f"no {kind} layer"):
+            load_model(tmp_path / "ckpt")

@@ -461,8 +461,9 @@ def cmd_sweep(cfg: ExperimentConfig, model_dir, out_dir=None, jobs: int = 1) -> 
     The parent loads the checkpoint and builds the target sets once, then runs
     the sweep's tasks (_schedule): one zero-program task, and per mask an
     optimization followed by a post task. At ``jobs`` = 1 they run inline in a
-    fixed order, otherwise on one pool of ``jobs`` workers. An error in the
-    zero-program task fails the sweep. A size whose mask cannot be built, or
+    fixed order, otherwise on one pool of ``jobs`` workers. A repeated size is
+    a ConfigurationError before any work. An error in the zero-program task
+    fails the sweep. A size whose mask cannot be built, or
     whose task raises, fails alone. When a worker dies, finished results are
     kept and the lost tasks run again one at a time, each in a fresh worker
     (_in_own_worker). Returns (records, failures). The combined CSV, JSON
@@ -472,6 +473,9 @@ def cmd_sweep(cfg: ExperimentConfig, model_dir, out_dir=None, jobs: int = 1) -> 
     sizes = list(cfg.mask_outer_sizes)
     if len(sizes) < 2:
         raise ConfigurationError("a sweep needs at least 2 mask sizes")
+    repeated = sorted({size for size in sizes if sizes.count(size) > 1})
+    if repeated:
+        raise ConfigurationError(f"mask_outer_sizes repeats {repeated}; each size runs once")
     out_dir = Path(out_dir if out_dir is not None else Path(cfg.out) / "sweep")
     out_dir.mkdir(parents=True, exist_ok=True)
     run_dirs = [str(out_dir / f"mask_{size}") for size in sizes]

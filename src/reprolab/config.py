@@ -127,7 +127,10 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"config file not found: {path}")
-    data = yaml.safe_load(path.read_text())
+    try:
+        data = yaml.safe_load(path.read_text())
+    except yaml.YAMLError as exc:
+        raise ConfigurationError(f"{path}: not valid YAML: {exc}") from exc
     if data is None:
         data = {}
     if not isinstance(data, dict):

@@ -21,14 +21,12 @@ import numpy as np
 
 from . import tensor as T
 from .datasets import LabeledDataset
-from .errors import ConfigurationError
-from .models import Network, accuracy, forward_framed
-# Not called here since the predictions take the framed forward, but part of
-# this module's namespace: perfbench/spans.py wraps it where diagnostics
-# would look it up.
+from .errors import ConfigurationError, SchemaError
+from .models import Network, _predict_chunks, accuracy
+# Not called here, but perfbench/spans.py wraps it where diagnostics would look it up.
 from .models import predict_batch  # noqa: F401
 from .reprogram import ClassMap, Mask, Program, _delta_array
-from .tensor import Tensor, no_grad
+from .tensor import Tensor
 
 CSV_HEADER = [
     "source", "target", "model", "trained", "mask_size",
@@ -121,12 +119,21 @@ def write_metrics(records, csv_path, jsonl_path=None) -> None:
 
 
 def read_metrics_csv(csv_path) -> list[MetricsRecord]:
+    """The records of a metrics CSV; SchemaError names the file and line of a bad row."""
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header != CSV_HEADER:
             raise ConfigurationError(f"{csv_path}: unexpected header {header}")
-        return [MetricsRecord.from_csv_row(row) for row in reader]
+        records = []
+        for row in reader:
+            try:
+                if len(row) != len(CSV_HEADER):
+                    raise ValueError(f"{len(row)} fields, expected {len(CSV_HEADER)}")
+                records.append(MetricsRecord.from_csv_row(row))
+            except ValueError as exc:
+                raise SchemaError(f"{csv_path}, line {reader.line_num}: {exc}") from exc
+        return records
 
 
 # -- accuracy-style metrics -----------------------------------------------------
@@ -137,35 +144,15 @@ def domain_alignment(net: Network, target_set: LabeledDataset, class_map: ClassM
     return accuracy(net, target_set, mapping=class_map.map)
 
 
-def _predictions(net, images: np.ndarray, offset: np.ndarray, batch_size: int) -> np.ndarray:
-    """Argmax predictions (ties: lowest class index) for images + offset, in chunks."""
-    offset = Tensor(offset)
-    preds = []
-    with no_grad():
-        for start in range(0, len(images), batch_size):
-            logits = forward_framed(net, images[start:start + batch_size], offset)
-            preds.append(logits.array.argmax(axis=1))
-    return np.concatenate(preds)
-
-
 def reprogramming_accuracy(net: Network, target_set: LabeledDataset, prog, mask: Mask,
                            class_map: ClassMap, batch_size: int = 200) -> float:
     """Mapped accuracy on perturbed target samples x + delta o M."""
-    pred = _predictions(net, target_set.images.array, _delta_array(prog) * mask.array,
-                        batch_size)
-    return int((pred == class_map.apply(target_set.labels)).sum()) / len(target_set)
+    return diagonal_accuracy(confusion_matrix(net, target_set, prog, mask, class_map,
+                                              batch_size))
 
 
 def diagonal_accuracy(counts: np.ndarray) -> float:
-    """Mapped accuracy from a confusion matrix: its diagonal over the sample count.
-
-    Equal bit for bit to reprogramming_accuracy on the same set and program:
-    both take the predictions of the same framed forward and divide the hits
-    by n. domain_alignment (models.accuracy) takes that framed forward too,
-    with a zero offset in batches of its own size, so it equals the
-    zero-program counts' diagonal accuracy wherever the two batchings pick the
-    same argmax; their logits agree to rounding.
-    """
+    """Mapped accuracy from a confusion matrix: its diagonal over the sample count."""
     return int(np.trace(counts)) / int(counts.sum())
 
 
@@ -194,28 +181,28 @@ def gradient_alignment(gradients) -> float:
 
 
 def _input_gradients(net, images: np.ndarray, labels: np.ndarray, prog, mask: Mask,
-                     class_map: ClassMap, loss_fn=None) -> np.ndarray:
+                     class_map: ClassMap) -> np.ndarray:
     """Unmasked per-sample input gradients at x_i + delta o M; shape (n, *input)."""
-    loss_fn = loss_fn or T.softmax_cross_entropy
     x = Tensor(images, requires_grad=True)
     pert = T.add(x, T.mul(Tensor(_delta_array(prog)), Tensor(mask.array)))
-    loss = T.scale(loss_fn(net.forward(pert), class_map.apply(labels)), len(images))
+    loss = T.scale(T.softmax_cross_entropy(net.forward(pert), class_map.apply(labels)),
+                   len(images))
     T.backward(loss)
     return x.grad if x.grad is not None else np.zeros_like(images)
 
 
 def per_sample_masked_gradients(net, images: np.ndarray, labels: np.ndarray, prog,
-                                mask: Mask, class_map: ClassMap, loss_fn=None) -> np.ndarray:
+                                mask: Mask, class_map: ClassMap) -> np.ndarray:
     """Per-sample input gradients at x_i + delta o M, masked; shape (n, *input).
 
     One batched backward suffices: with the batch loss scaled by n, the input
     gradient at slot i is exactly the gradient of sample i's own loss.
     """
-    return _input_gradients(net, images, labels, prog, mask, class_map, loss_fn) * mask.array
+    return _input_gradients(net, images, labels, prog, mask, class_map) * mask.array
 
 
 def _alignment_per_mask(net, dataset: LabeledDataset, prog, mask: Mask, masks: list[Mask],
-                        class_map: ClassMap, loss_fn, batch_size: int) -> list[tuple[float, float]]:
+                        class_map: ClassMap, batch_size: int) -> list[tuple[float, float]]:
     """(r, ||g||_1) for each of ``masks``, from the input gradients at x + delta o M."""
     images = dataset.images.array
     sum_grads = [np.zeros(m.array.shape) for m in masks]
@@ -224,7 +211,7 @@ def _alignment_per_mask(net, dataset: LabeledDataset, prog, mask: Mask, masks: l
     for start in range(0, len(dataset), batch_size):
         stop = min(start + batch_size, len(dataset))
         raw = _input_gradients(net, images[start:stop], dataset.labels[start:stop], prog, mask,
-                               class_map, loss_fn)
+                               class_map)
         for i, m in enumerate(masks):
             grads = raw * m.array
             sum_grads[i] += grads.sum(axis=0)
@@ -235,15 +222,13 @@ def _alignment_per_mask(net, dataset: LabeledDataset, prog, mask: Mask, masks: l
 
 
 def alignment_stats(net, dataset: LabeledDataset, prog, mask: Mask, class_map: ClassMap,
-                    loss_fn=None, batch_size: int = 50) -> tuple[float, float]:
+                    batch_size: int = 50) -> tuple[float, float]:
     """(r, ||g||_1) of masked per-sample gradients over a dataset, streamed."""
-    return _alignment_per_mask(net, dataset, prog, mask, [mask], class_map, loss_fn,
-                               batch_size)[0]
+    return _alignment_per_mask(net, dataset, prog, mask, [mask], class_map, batch_size)[0]
 
 
 def zero_program_alignment(net, dataset: LabeledDataset, masks: list[Mask],
-                           class_map: ClassMap, loss_fn=None,
-                           batch_size: int = 50) -> list[tuple[float, float]]:
+                           class_map: ClassMap, batch_size: int = 50) -> list[tuple[float, float]]:
     """(r0, ||g||_1) at the zero program for each mask, from one backward per batch.
 
     At delta = 0 the perturbed input x + 0 o M is x for every mask, so all masks
@@ -251,16 +236,15 @@ def zero_program_alignment(net, dataset: LabeledDataset, masks: list[Mask],
     equals alignment_stats(net, dataset, zeros, masks[i], ...) exactly.
     """
     zero = np.zeros(masks[0].array.shape)
-    return _alignment_per_mask(net, dataset, zero, masks[0], masks, class_map, loss_fn,
-                               batch_size)
+    return _alignment_per_mask(net, dataset, zero, masks[0], masks, class_map, batch_size)
 
 
 def alignment_before_after(net, eval_set: LabeledDataset, mask: Mask, class_map: ClassMap,
-                           prog: Program, loss_fn=None) -> tuple[float, float]:
+                           prog: Program) -> tuple[float, float]:
     """Gradient alignment at the zero program (r0) and at the optimum (rN)."""
     zero = np.zeros(mask.array.shape)
-    r0, _ = alignment_stats(net, eval_set, zero, mask, class_map, loss_fn)
-    rn, _ = alignment_stats(net, eval_set, prog, mask, class_map, loss_fn)
+    r0, _ = alignment_stats(net, eval_set, zero, mask, class_map)
+    rn, _ = alignment_stats(net, eval_set, prog, mask, class_map)
     return r0, rn
 
 
@@ -310,8 +294,9 @@ def confusion_matrix(net: Network, target_set: LabeledDataset, prog, mask: Mask,
     program (the domain-alignment condition).
     """
     k = target_set.num_classes
-    delta = np.zeros(mask.array.shape) if prog is None else _delta_array(prog)
-    pred = _predictions(net, target_set.images.array, delta * mask.array, batch_size)
+    offset = None if prog is None else _delta_array(prog) * mask.array
+    chunks = _predict_chunks(net, target_set.images.array, offset, batch_size)
+    pred = np.concatenate([chunk_pred for _, chunk_pred, _ in chunks])
     # The map is injective, so each prediction matches at most one target class.
     match = pred[:, None] == class_map.map[None, :]
     column = np.where(match.any(axis=1), match.argmax(axis=1), k)

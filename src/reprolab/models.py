@@ -416,29 +416,36 @@ def train_sgd(net: Network, ds: LabeledDataset, cfg: TrainConfig) -> tuple[Netwo
     return net, history
 
 
-def predict_batch(net: Network, images) -> tuple[np.ndarray, np.ndarray]:
-    """Argmax predictions (ties: lowest class index) and raw logits.
+def predict_batch(net: Network, images, offset=None) -> tuple[np.ndarray, np.ndarray]:
+    """Argmax predictions (ties: lowest class index) and raw logits of images + offset.
 
-    The forward is forward_framed with a zero offset, so a Network shares the
-    frame around the images across the batch; other models run ``forward``.
+    The one graph-free forward: forward_framed with ``offset`` (C, H, W),
+    zero when None, so a Network shares the frame around the images across
+    the batch; other models run ``forward``.
     """
     images = images.array if isinstance(images, Tensor) else np.asarray(images)
+    offset = np.zeros(images.shape[1:]) if offset is None else offset
     with no_grad():
-        logits = forward_framed(net, images, Tensor(np.zeros(images.shape[1:]))).array
+        logits = forward_framed(net, images, Tensor(offset)).array
     return logits.argmax(axis=1), logits
 
 
-def accuracy(net: Network, ds: LabeledDataset, mapping=None, batch_size: int = 200) -> float:
+def _predict_chunks(net, images: np.ndarray, offset=None, batch_size: int = 200):
+    """Yield (rows, predictions, logits) of predict_batch over ``images[rows]``, in order."""
+    for start in range(0, len(images), batch_size):
+        rows = slice(start, min(start + batch_size, len(images)))
+        yield rows, *predict_batch(net, images[rows], offset)
+
+
+def accuracy(net: Network, ds: LabeledDataset, mapping=None) -> float:
     """Fraction of samples predicted as their (optionally mapped) label."""
     targets = ds.labels
     if mapping is not None:
         lut = np.asarray(getattr(mapping, "map", mapping), dtype=np.int64)
         targets = lut[ds.labels]
     hits = 0
-    for start in range(0, len(ds), batch_size):
-        stop = min(start + batch_size, len(ds))
-        pred, _ = predict_batch(net, ds.images.array[start:stop])
-        hits += int((pred == targets[start:stop]).sum())
+    for rows, pred, _ in _predict_chunks(net, ds.images.array):
+        hits += int((pred == targets[rows]).sum())
     return hits / len(ds)
 
 
@@ -476,9 +483,16 @@ def _manifest_layer(manifest: dict, kind: str, directory: Path) -> dict:
 
 def load_model(directory) -> Network:
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    if manifest.get("format") != "reprolab-model-v1":
+    try:
+        manifest = json.loads((directory / "manifest.json").read_text())
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{directory}/manifest.json: not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict) or manifest.get("format") != "reprolab-model-v1":
         raise FormatError(f"{directory}: not a model checkpoint")
+    missing = [key for key in ("input_shape", "num_classes", "width_scale", "layers", "params")
+               if key not in manifest]
+    if missing:
+        raise FormatError(f"{directory}: manifest lacks {', '.join(missing)}")
     dropout = _manifest_layer(manifest, "dropout", directory)
     net = build_cwnet(
         tuple(manifest["input_shape"]),

@@ -19,8 +19,8 @@ import numpy as np
 from . import tensor as T
 from .datasets import LabeledDataset, make_batches
 from .errors import ConfigurationError, InjectivityError, NumericError, ShapeError
-from .models import forward_framed
-from .tensor import Tensor, load_tensor, no_grad, save_tensor
+from .models import _predict_chunks, forward_framed
+from .tensor import Tensor, load_tensor, save_tensor
 
 
 @dataclass
@@ -180,25 +180,19 @@ def apply_program(x: Tensor, prog, mask: Mask) -> Tensor:
     return T.add(x, T.mul(prog, Tensor(marr)))
 
 
-def _mean_loss(net, images: np.ndarray, offset: np.ndarray, mapped: np.ndarray,
-               loss_fn) -> float:
-    """Graph-free mean loss of images + offset in evaluation chunks."""
-    total, count = 0.0, 0
-    offset = Tensor(offset)
-    with no_grad():
-        for start in range(0, len(images), 200):
-            stop = min(start + 200, len(images))
-            logits = forward_framed(net, images[start:stop], offset)
-            value = loss_fn(logits, mapped[start:stop]).item()
-            total += value * (stop - start)
-            count += stop - start
-    return total / count
+def _mean_loss(net, images: np.ndarray, offset, mapped: np.ndarray, loss_fn) -> float:
+    """Mean loss of images + offset over models.predict_batch's evaluation chunks;
+    ``loss_fn`` None is softmax cross-entropy, and ``offset`` None is zero."""
+    loss_fn = loss_fn or T.softmax_cross_entropy
+    total = 0.0
+    for rows, _, logits in _predict_chunks(net, images, offset):
+        total += loss_fn(Tensor(logits), mapped[rows]).item() * len(logits)
+    return total / len(images)
 
 
 def reprogramming_loss(net, images, labels, prog, mask: Mask, class_map: ClassMap,
                        loss_fn=None) -> float:
     """Mean loss of perturbed samples against their mapped source labels."""
-    loss_fn = loss_fn or T.softmax_cross_entropy
     images = images.array if isinstance(images, Tensor) else np.asarray(images, dtype=np.float64)
     return _mean_loss(net, images, _delta_array(prog) * mask.array, class_map.apply(labels),
                       loss_fn)
@@ -215,11 +209,8 @@ def zero_program_loss(net, opt_set: LabeledDataset, eval_set: LabeledDataset,
 
     It is the same for every mask, because x + 0 o M = x.
     """
-    loss_fn = loss_fn or T.softmax_cross_entropy
     eval_ds = _evaluation_set(opt_set, eval_set, cfg)
-    images = eval_ds.images.array
-    return _mean_loss(net, images, np.zeros(images.shape[1:]), class_map.apply(eval_ds.labels),
-                      loss_fn)
+    return _mean_loss(net, eval_ds.images.array, None, class_map.apply(eval_ds.labels), loss_fn)
 
 
 def average_masked_gradient(net, images, labels, prog, mask: Mask, class_map: ClassMap,
@@ -264,7 +255,6 @@ def optimize_program(net, opt_set: LabeledDataset, eval_set: LabeledDataset, mas
     into the result for the real zero-program loss.
     ``step_callback(epoch, batch, delta)`` observes read-only snapshots.
     """
-    loss_fn = loss_fn or T.softmax_cross_entropy
     if hasattr(net, "set_requires_grad"):
         net.set_requires_grad(False)
     eval_ds = _evaluation_set(opt_set, eval_set, cfg)

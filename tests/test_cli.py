@@ -285,6 +285,13 @@ class TestSweepCommand:
         with pytest.raises(ConfigurationError, match="at least 2"):
             cmd_sweep(cfg, pipeline["model_dir"], tmp_path / "s")
 
+    def test_repeated_size_rejected_before_any_work(self, pipeline, tmp_path):
+        cfg = _tiny_config(pipeline["root"], seed=3)
+        cfg.mask_outer_sizes = [12, 12, 16]
+        with pytest.raises(ConfigurationError, match=r"repeats \[12\]"):
+            cmd_sweep(cfg, pipeline["model_dir"], tmp_path / "s", jobs=2)
+        assert not (tmp_path / "s").exists()
+
 
 SIZES = [10, 12, 16]
 
@@ -515,3 +522,41 @@ class TestMainEntry:
         bad.write_text("reprogram: {eta: -1}\n")
         assert main(["train", "--config", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_config_that_is_not_yaml(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("seed: [1, 2\n")
+        assert main(["train", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bad.yaml: not valid YAML" in err
+
+    @pytest.mark.parametrize("manifest, message", [
+        ('{"format": "reprolab-model-v1", "input_sh', "manifest.json: not valid JSON"),
+        (json.dumps({"format": "reprolab-model-v1", "num_classes": 10, "width_scale": 0.25,
+                     "layers": [], "params": []}), "manifest lacks input_shape"),
+    ])
+    def test_broken_manifest(self, tmp_path, capsys, manifest, message):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text("seed: 1\n")
+        (tmp_path / "model").mkdir()
+        (tmp_path / "model" / "manifest.json").write_text(manifest)
+        argv = ["reprogram", "--config", str(cfg_path), "--model", str(tmp_path / "model")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda line: line.rsplit(",", 3)[0], "line 3: 9 fields, expected 12"),
+        (lambda line: line.replace(",0.5,", ",abc,", 1), "line 3: could not convert"),
+    ])
+    def test_malformed_metrics_row(self, tmp_path, capsys, edit, message):
+        path = tmp_path / "m.csv"
+        for i in range(4):
+            append_metrics(MetricsRecord("s", "t", "m", True, 100 + i, 0.1, 0.5, 0.2, 0.3,
+                                         1.0, i, f"h{i}"), path)
+        lines = path.read_text().splitlines()
+        lines[2] = edit(lines[2])
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["correlate", "--metrics", str(path), "--x", "RA", "--y", "rN"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"m.csv, {message}" in err

@@ -13,7 +13,12 @@ import pytest
 
 import reprolab.tensor as T
 from reprolab.datasets import PadSpec, preprocess, synth_target_dataset
-from reprolab.diagnostics import confusion_matrix, reprogramming_accuracy
+from reprolab.diagnostics import (
+    confusion_matrix,
+    diagonal_accuracy,
+    domain_alignment,
+    reprogramming_accuracy,
+)
 from reprolab.models import (
     Dropout,
     TrainConfig,
@@ -237,6 +242,25 @@ class TestPredictBatch:
         images = _target().images.array
         _, logits = predict_batch(net64, Tensor(images))
         assert np.array_equal(logits, predict_batch(net64, images)[1])
+
+    def test_offset_matches_tape(self, net64):
+        # More samples than one evaluation chunk of 200.
+        images = _target((9, 21), n=210).images.array
+        offset = np.random.default_rng(5).uniform(-1.0, 1.0, SHAPE) * \
+            build_frame_mask(SHAPE, INNER, 48).array
+        pred, logits = predict_batch(net64, images, offset)
+        tape = _tape_logits(net64, images, offset)
+        assert np.abs(logits - tape).max() <= 1e-12 * np.abs(tape).max()
+        assert np.array_equal(pred, tape.argmax(axis=1))
+
+    def test_zero_program_counts_give_domain_alignment(self, net64):
+        # DA and the zero-program confusion matrix take the same chunks of
+        # predict_batch, so they agree bit for bit past the first chunk too.
+        ds = _target(n=210)
+        cm = build_class_map(10)
+        counts = confusion_matrix(net64, ds, None, build_frame_mask(SHAPE, INNER, 48), cm)
+        assert counts.sum() == 210
+        assert diagonal_accuracy(counts) == domain_alignment(net64, ds, cm)
 
 
 class LinearLogitsModel:

@@ -9,7 +9,6 @@ sweep, 1 hard failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import ctypes
 import functools
 import json
@@ -43,9 +42,9 @@ from .diagnostics import (
     MetricsRecord,
     alignment_stats,
     confusion_matrix,
+    csv_text,
     diagonal_accuracy,
     read_metrics_csv,
-    replace_file,
     save_confusion_csv,
     write_metrics,
     zero_program_alignment,
@@ -75,6 +74,7 @@ from .reprogram import (
     zero_program_loss,
 )
 from .stats import permutation_pvalue
+from .tensor import replace_file, write_json
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -143,11 +143,8 @@ def cmd_train(cfg: ExperimentConfig, out_dir=None) -> Path:
         test_accuracy = accuracy(net, test_ds)
 
     save_model(net, out_dir)
-    with open(out_dir / "training_loss.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "mean_loss"])
-        for i, value in enumerate(history):
-            writer.writerow([i, repr(value)])
+    losses = [["epoch", "mean_loss"]] + [[i, repr(value)] for i, value in enumerate(history)]
+    replace_file(out_dir / "training_loss.csv", csv_text(losses))
     summary = {
         "config_hash": config_hash(cfg),
         "seed": cfg.seed,
@@ -155,7 +152,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir=None) -> Path:
         "source": cfg.source.display_name,
         "test_accuracy": test_accuracy,
     }
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=1, sort_keys=True))
+    write_json(out_dir / "summary.json", summary)
     return out_dir
 
 
@@ -554,20 +551,18 @@ def cmd_correlate(metrics_csv, x_column: str, y_column: str,
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "correlations.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["method", "x", "y", "n", "coefficient", "p_value",
-                             "n_permutations", "seed"])
-            for res in results:
-                writer.writerow([res.method, x_column, y_column, len(x), repr(res.coefficient),
+        correlations = [["method", "x", "y", "n", "coefficient", "p_value",
+                         "n_permutations", "seed"]]
+        for res in results:
+            correlations.append([res.method, x_column, y_column, len(x), repr(res.coefficient),
                                  repr(res.p_value), res.n_permutations, res.seed])
-        with open(out_dir / "scatter.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([x_column, y_column, "label"])
-            for record, xv, yv in zip(records, x, y):
-                label = f"{record.model}|{record.source}->{record.target}|" \
-                        f"{'T' if record.trained else 'U'}|m{record.mask_size}"
-                writer.writerow([repr(float(xv)), repr(float(yv)), label])
+        replace_file(out_dir / "correlations.csv", csv_text(correlations))
+        scatter = [[x_column, y_column, "label"]]
+        for record, xv, yv in zip(records, x, y):
+            label = f"{record.model}|{record.source}->{record.target}|" \
+                    f"{'T' if record.trained else 'U'}|m{record.mask_size}"
+            scatter.append([repr(float(xv)), repr(float(yv)), label])
+        replace_file(out_dir / "scatter.csv", csv_text(scatter))
     return results
 
 

@@ -85,8 +85,15 @@ class ExperimentConfig:
     mask_outer_sizes: list[int] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not isinstance(self.mask_outer_size, (int, type(None))):
+            raise ConfigurationError(
+                f"mask_outer_size must be an integer, got {self.mask_outer_size!r}")
+        if not isinstance(self.mask_outer_sizes, (list, tuple)) or not all(
+                isinstance(size, int) for size in self.mask_outer_sizes):
+            raise ConfigurationError(
+                f"mask_outer_sizes must be a list of integers, got {self.mask_outer_sizes!r}")
 
 
 _SECTION_TYPES = {

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, ConsistencyError, FormatError, ShapeError
-from .tensor import Tensor, load_tensor, save_tensor
+from .tensor import Tensor, load_tensor, replace_file, save_tensor, write_json
 
 _IDX_IMAGES_MAGIC = 0x00000803
 _IDX_LABELS_MAGIC = 0x00000801
@@ -132,12 +132,10 @@ def write_idx(ds: LabeledDataset, images_path, labels_path) -> None:
     if arr.shape[1] != 1:
         raise ShapeError(f"IDX export needs single-channel images, got {arr.shape[1]} channels")
     n, _, rows, cols = arr.shape
-    with open(images_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", _IDX_IMAGES_MAGIC, n, rows, cols))
-        fh.write(np.clip(np.rint(arr), 0, 255).astype(np.uint8).tobytes())
-    with open(labels_path, "wb") as fh:
-        fh.write(struct.pack(">II", _IDX_LABELS_MAGIC, n))
-        fh.write(ds.labels.astype(np.uint8).tobytes())
+    replace_file(images_path, b"".join([struct.pack(">IIII", _IDX_IMAGES_MAGIC, n, rows, cols),
+                                        np.clip(np.rint(arr), 0, 255).astype(np.uint8)]))
+    replace_file(labels_path, b"".join([struct.pack(">II", _IDX_LABELS_MAGIC, n),
+                                        ds.labels.astype(np.uint8)]))
 
 
 def preprocess(ds: LabeledDataset, spec: PadSpec) -> LabeledDataset:
@@ -310,7 +308,7 @@ def save_dataset(ds: LabeledDataset, directory, manifest_extra: dict | None = No
     }
     if manifest_extra:
         manifest.update(manifest_extra)
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    write_json(directory / "manifest.json", manifest)
 
 
 def load_dataset(directory) -> LabeledDataset:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from .models import Network, _predict_chunks, accuracy
 # Not called here, but perfbench/spans.py wraps it where diagnostics would look it up.
 from .models import predict_batch  # noqa: F401
 from .reprogram import ClassMap, Mask, Program, _delta_array
-from .tensor import Tensor
+from .tensor import Tensor, replace_file
 
 CSV_HEADER = [
     "source", "target", "model", "trained", "mask_size",
@@ -92,14 +91,11 @@ def append_metrics(record: MetricsRecord, csv_path, jsonl_path=None) -> None:
             fh.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
 
 
-def replace_file(path, text: str) -> None:
-    """Write ``text`` through a temporary file and a rename, so the file at
-    ``path`` is always either the previous one or the whole new one."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+def csv_text(rows) -> str:
+    """``rows`` as CSV text, in the dialect of every CSV file reprolab writes."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue()
 
 
 def write_metrics(records, csv_path, jsonl_path=None) -> None:
@@ -108,11 +104,7 @@ def write_metrics(records, csv_path, jsonl_path=None) -> None:
     The bytes equal those that append_metrics writes for the same records into
     files that did not exist.
     """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(CSV_HEADER)
-    writer.writerows(record.to_csv_row() for record in records)
-    replace_file(csv_path, buffer.getvalue())
+    replace_file(csv_path, csv_text([CSV_HEADER, *(record.to_csv_row() for record in records)]))
     if jsonl_path is not None:
         replace_file(jsonl_path, "".join(json.dumps(record.to_json(), sort_keys=True) + "\n"
                                          for record in records))
@@ -306,9 +298,6 @@ def confusion_matrix(net: Network, target_set: LabeledDataset, prog, mask: Mask,
 
 
 def save_confusion_csv(counts: np.ndarray, path) -> None:
-    k = counts.shape[0]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["true\\pred"] + [str(i) for i in range(k)] + ["other"])
-        for i in range(k):
-            writer.writerow([str(i)] + [str(int(v)) for v in counts[i]])
+    header = ["true\\pred"] + [str(i) for i in range(counts.shape[0])] + ["other"]
+    rows = [[str(i)] + [str(int(v)) for v in row] for i, row in enumerate(counts)]
+    replace_file(path, csv_text([header, *rows]))

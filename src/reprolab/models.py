@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .datasets import LabeledDataset, make_batches
 from .errors import ConfigurationError, FormatError, NumericError, ShapeError
-from .tensor import Tensor, load_tensor, no_grad, save_tensor
+from .tensor import Tensor, load_tensor, no_grad, save_tensor, write_json
 
 
 @dataclass
@@ -471,7 +471,7 @@ def save_model(net: Network, directory) -> None:
         "layers": [layer.describe() for layer in net.layers],
         "params": param_files,
     }
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    write_json(directory / "manifest.json", manifest)
 
 
 def _manifest_layer(manifest: dict, kind: str, directory: Path) -> dict:

@@ -20,7 +20,7 @@ from . import tensor as T
 from .datasets import LabeledDataset, make_batches
 from .errors import ConfigurationError, InjectivityError, NumericError, ShapeError
 from .models import _predict_chunks, forward_framed
-from .tensor import Tensor, load_tensor, save_tensor
+from .tensor import Tensor, load_tensor, save_tensor, write_json
 
 
 @dataclass
@@ -96,6 +96,9 @@ class ReprogramConfig:
             raise ConfigurationError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigurationError(f"batch size must be >= 1, got {self.batch_size}")
+        for name in ("opt_set_size", "eval_set_size", "metrics_set_size"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def build_frame_mask(input_shape: tuple[int, int, int], inner_size: tuple[int, int],
@@ -137,7 +140,11 @@ def build_class_map(num_target_classes: int, spec="first-ten",
             raise ConfigurationError(f"unknown class-map spec {spec!r}")
         mapping = np.arange(num_target_classes, dtype=np.int64)
     else:
-        mapping = np.asarray(list(spec), dtype=np.int64)
+        if not isinstance(spec, (list, tuple)) or not all(
+                isinstance(v, (int, np.integer)) for v in spec):
+            raise ConfigurationError(f"class map must be 'first-ten' or a list of classes, "
+                                     f"got {spec!r}")
+        mapping = np.asarray(spec, dtype=np.int64)
         if len(mapping) != num_target_classes:
             raise ConfigurationError(
                 f"class map has {len(mapping)} entries for {num_target_classes} classes"
@@ -326,7 +333,7 @@ def save_program(prog: Program, directory, mask: Mask | None = None,
     }
     if extra:
         sidecar.update(extra)
-    (directory / "program.json").write_text(json.dumps(sidecar, indent=1, sort_keys=True))
+    write_json(directory / "program.json", sidecar)
 
 
 def load_program(directory) -> tuple[Program, dict]:

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import struct
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -70,10 +72,6 @@ class Tensor:
         return self.array.shape
 
     @property
-    def size(self) -> int:
-        return self.array.size
-
-    @property
     def data(self) -> np.ndarray:
         """Flat row-major float64 view of the underlying buffer."""
         return self.array.reshape(-1)
@@ -83,53 +81,25 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.array.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.array.copy())
-
     def zero_grad(self) -> None:
         self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def __len__(self) -> int:
-        if not self.shape:
-            raise ShapeError("len() of a scalar tensor")
-        return self.shape[0]
-
     # -- operator sugar -----------------------------------------------------
 
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return add(self, neg(_as_tensor(other)))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other), neg(self))
-
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
         return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, _as_tensor(other))
 
     def sum(self) -> "Tensor":
         return tensor_sum(self)
-
-    def mean(self) -> "Tensor":
-        return tensor_mean(self)
 
     def reshape(self, shape) -> "Tensor":
         return reshape(self, shape)
@@ -202,14 +172,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, _unbroadcast(grad * a.array, b.shape))
 
     return _make_node(out, (a, b), rule)
-
-
-def neg(a: Tensor) -> Tensor:
-    def rule(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, -grad)
-
-    return _make_node(-a.array, (a,), rule)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -589,14 +551,30 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5)
 _MAGIC = b"TNSR"
 
 
+def replace_file(path, data) -> None:
+    """Write ``data`` (str as UTF-8, or bytes) through a temporary file and a
+    rename, so the file at ``path`` is always either the previous one or the
+    whole new one."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode() if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as the JSON layout of every reprolab manifest and sidecar."""
+    replace_file(path, json.dumps(obj, indent=1, sort_keys=True))
+
+
 def save_tensor(t: Tensor, path) -> None:
     """Write little-endian binary: magic, u32 rank, u64 extents, float64 payload."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(t.shape)))
-        for extent in t.shape:
-            fh.write(struct.pack("<Q", extent))
-        fh.write(t.array.astype("<f8", copy=False).tobytes(order="C"))
+    header = _MAGIC + struct.pack(f"<I{len(t.shape)}Q", len(t.shape), *t.shape)
+    # join reads the array's buffer, so the payload is copied once, into the result.
+    replace_file(path, b"".join([header, t.array.astype("<f8", copy=False)]))
 
 
 def load_tensor(path) -> Tensor:

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from reprolab.config import (
     config_hash,
     load_config,
 )
+from reprolab.datasets import synth_target_dataset, write_idx
 from reprolab.diagnostics import (
     CSV_HEADER,
     MetricsRecord,
@@ -27,16 +29,20 @@ from reprolab.diagnostics import (
     domain_alignment,
     read_metrics_csv,
     reprogramming_accuracy,
+    save_confusion_csv,
 )
 from reprolab.errors import ConfigurationError, SchemaError
 from reprolab.models import TrainConfig, _frame_windows, load_model
 from reprolab.reprogram import (
+    Program,
     ReprogramConfig,
     build_class_map,
     build_frame_mask,
     load_program,
     reprogramming_loss,
+    save_program,
 )
+from reprolab.tensor import Tensor, replace_file
 
 
 def _tiny_config(out, seed=3) -> ExperimentConfig:
@@ -560,3 +566,138 @@ class TestMainEntry:
         assert main(["correlate", "--metrics", str(path), "--x", "RA", "--y", "rN"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"m.csv, {message}" in err
+
+
+def _write_config(cfg: ExperimentConfig, path: Path, **changes) -> Path:
+    """``cfg`` as a YAML file, with top-level and section keys replaced by ``changes``."""
+    doc = json.loads(json.dumps(asdict(cfg)))
+    for key, value in changes.items():
+        section, _, name = key.partition("__")
+        if name:
+            doc[section][name] = value
+        else:
+            doc[key] = value
+    path.write_text(yaml.safe_dump(doc))
+    return path
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("name", ["opt_set_size", "eval_set_size", "metrics_set_size"])
+    def test_empty_reprogram_set_rejected(self, pipeline, tmp_path, capsys, name):
+        cfg_path = _write_config(_tiny_config(tmp_path), tmp_path / "cfg.yaml",
+                                 **{f"reprogram__{name}": 0})
+        argv = ["reprogram", "--config", str(cfg_path), "--model", str(pipeline["model_dir"])]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{name} must be >= 1, got 0" in err
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("sweep", "mask_outer_sizes", 36),
+        ("sweep", "mask_outer_sizes", [10, "16"]),
+        ("reprogram", "mask_outer_size", "12"),
+        ("reprogram", "class_map", list("abcdefghij")),
+        ("reprogram", "class_map", 3),
+    ])
+    def test_value_of_wrong_type_rejected(self, pipeline, tmp_path, capsys, command, key, value):
+        cfg_path = _write_config(_tiny_config(tmp_path), tmp_path / "cfg.yaml", **{key: value})
+        argv = [command, "--config", str(cfg_path), "--model", str(pipeline["model_dir"])]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(value) in err
+
+    def test_valid_values_keep_their_hash(self, tmp_path):
+        # Digests of the same configs before their values were checked.
+        cfg = _tiny_config(tmp_path)
+        assert config_hash(cfg) == "0172284301e72bf8"
+        cfg_path = _write_config(cfg, tmp_path / "cfg.yaml", mask_outer_size=12,
+                                 class_map=[3, 1, 2, 0, 4, 5, 6, 7, 8, 9])
+        assert config_hash(load_config(cfg_path)) == "db91aa31cbbbcfbf"
+
+
+def _idx_spec(root: Path, seed: int, name: str, test: bool) -> DatasetSpec:
+    """A 10-class IDX dataset of 8x8 images written to ``root``, with test files if ``test``."""
+    paths = {}
+    for part, part_seed, per_class in [("images", seed, 30)] + ([("test", seed + 1, 5)] * test):
+        ds = synth_target_dataset(part_seed, per_class=per_class, size=(8, 8), family="strokes")
+        images, labels = root / f"{name}-{part}-images.idx", root / f"{name}-{part}-labels.idx"
+        write_idx(ds, images, labels)
+        prefix = "" if part == "images" else "test_"
+        paths.update({f"{prefix}images": str(images), f"{prefix}labels": str(labels)})
+    return DatasetSpec(kind="idx", image_size=(8, 8), **paths)
+
+
+class TestIdxDatasets:
+    def test_train_and_parallel_sweep(self, tmp_path):
+        cfg = _tiny_config(tmp_path / "runs")
+        cfg.source = _idx_spec(tmp_path, 5, "source", test=True)
+        cfg.target = _idx_spec(tmp_path, 9, "target", test=False)
+        model_dir = cmd_train(cfg)
+        summary = json.loads((model_dir / "summary.json").read_text())
+        assert summary["source"] == "source-images-images"
+        assert 0.0 <= summary["test_accuracy"] <= 1.0
+        records, failures = cmd_sweep(cfg, model_dir, tmp_path / "sweep", jobs=2)
+        assert not failures
+        assert [(r.source, r.target, r.trained) for r in records] == \
+            [("source-images-images", "target-images-images", True)] * 2
+        assert [r.mask_size for r in records] == \
+            [build_frame_mask((3, 16, 16), (8, 8), s).size() for s in cfg.mask_outer_sizes]
+        assert read_metrics_csv(tmp_path / "sweep" / "metrics.csv") == records
+
+    def test_source_without_test_files(self, tmp_path, capsys):
+        cfg = _tiny_config(tmp_path / "runs")
+        cfg.source = _idx_spec(tmp_path, 5, "source", test=False)
+        cfg_path = _write_config(cfg, tmp_path / "cfg.yaml")
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no test IDX files configured" in err
+
+
+class TestAtomicWrites:
+    def test_text_and_bytes_written_exactly(self, tmp_path):
+        replace_file(tmp_path / "t.csv", "a,b\r\ncé\n")
+        assert (tmp_path / "t.csv").read_bytes() == "a,b\r\ncé\n".encode()
+        payload = bytes(range(256)) * 3
+        replace_file(tmp_path / "b.bin", payload)
+        assert (tmp_path / "b.bin").read_bytes() == payload
+        replace_file(tmp_path / "b.bin", b"")
+        assert (tmp_path / "b.bin").read_bytes() == b""
+
+    def test_failed_write_leaves_previous_file(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text("old")
+        with pytest.raises(TypeError):
+            replace_file(path, object())
+        assert path.read_text() == "old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json"]
+
+    def test_failed_rename_leaves_previous_artifacts(self, pipeline, tmp_path, monkeypatch):
+        net = load_model(pipeline["model_dir"])
+        out = tmp_path / "run"
+        run_reprogram(pipeline["cfg"], net, out)
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        for save in (lambda: save_program(Program(Tensor(np.ones((3, 16, 16))), 0.0, [0.0]),
+                                          out / "program"),
+                     lambda: save_confusion_csv(np.eye(10, 11, dtype=np.int64),
+                                                out / "confusion_after.csv")):
+            with pytest.raises(OSError, match="rename refused"):
+                save()
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    def test_clean_pipeline_leaves_no_temporary_file(self, tmp_path):
+        cfg = _tiny_config(tmp_path / "runs")
+        cfg.mask_outer_sizes = [10, 12, 16]
+        model_dir = cmd_train(cfg)
+        cmd_sweep(cfg, model_dir, tmp_path / "sweep", jobs=2)
+        cmd_correlate(tmp_path / "sweep" / "metrics.csv", "RA", "rN", n_permutations=100,
+                      out_dir=tmp_path / "corr")
+        written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
+        assert {"runs/model/manifest.json", "runs/model/summary.json",
+                "runs/model/training_loss.csv", "sweep/metrics.csv",
+                "sweep/mask_16/program/delta.tnsr", "corr/correlations.csv",
+                "corr/scatter.csv"} <= written
+        assert not [name for name in written if name.endswith(".tmp")]

@@ -617,12 +617,12 @@ class TestConfigValues:
 def _idx_spec(root: Path, seed: int, name: str, test: bool) -> DatasetSpec:
     """A 10-class IDX dataset of 8x8 images written to ``root``, with test files if ``test``."""
     paths = {}
-    for part, part_seed, per_class in [("images", seed, 30)] + ([("test", seed + 1, 5)] * test):
+    parts = [("", seed, 30)] + ([("test_", seed + 1, 5)] if test else [])
+    for prefix, part_seed, per_class in parts:
         ds = synth_target_dataset(part_seed, per_class=per_class, size=(8, 8), family="strokes")
-        images, labels = root / f"{name}-{part}-images.idx", root / f"{name}-{part}-labels.idx"
+        images, labels = root / f"{name}-{prefix}images.idx", root / f"{name}-{prefix}labels.idx"
         write_idx(ds, images, labels)
-        prefix = "" if part == "images" else "test_"
-        paths.update({f"{prefix}images": str(images), f"{prefix}labels": str(labels)})
+        paths[f"{prefix}images"], paths[f"{prefix}labels"] = str(images), str(labels)
     return DatasetSpec(kind="idx", image_size=(8, 8), **paths)
 
 
@@ -633,12 +633,12 @@ class TestIdxDatasets:
         cfg.target = _idx_spec(tmp_path, 9, "target", test=False)
         model_dir = cmd_train(cfg)
         summary = json.loads((model_dir / "summary.json").read_text())
-        assert summary["source"] == "source-images-images"
+        assert summary["source"] == "source-images"
         assert 0.0 <= summary["test_accuracy"] <= 1.0
         records, failures = cmd_sweep(cfg, model_dir, tmp_path / "sweep", jobs=2)
         assert not failures
         assert [(r.source, r.target, r.trained) for r in records] == \
-            [("source-images-images", "target-images-images", True)] * 2
+            [("source-images", "target-images", True)] * 2
         assert [r.mask_size for r in records] == \
             [build_frame_mask((3, 16, 16), (8, 8), s).size() for s in cfg.mask_outer_sizes]
         assert read_metrics_csv(tmp_path / "sweep" / "metrics.csv") == records

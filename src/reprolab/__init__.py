@@ -16,11 +16,9 @@ from .datasets import (
 )
 from .diagnostics import (
     MetricsRecord,
-    alignment_before_after,
     confusion_matrix,
     domain_alignment,
     gradient_alignment,
-    linearized_loss,
     predicted_loss_drop,
     reprogramming_accuracy,
 )
@@ -38,7 +36,6 @@ from .reprogram import (
     Mask,
     Program,
     ReprogramConfig,
-    apply_program,
     average_masked_gradient,
     box_project,
     build_class_map,

@@ -178,11 +178,16 @@ class ZeroProgram:
 def _target_sets(cfg: ExperimentConfig) -> list[LabeledDataset]:
     """The preprocessed optimization, evaluation and metrics sets of a run."""
     rc = cfg.reprogram
-    raw = synth_or_idx_target(cfg)
     sizes = [rc.opt_set_size, rc.eval_set_size, rc.metrics_set_size]
-    if sum(sizes) > len(raw):
+    needed = sum(sizes)
+    if cfg.target.kind == "idx":
+        raw = _load_raw(cfg.target, cfg.seed, train=True)
+    else:
+        per_class = max(cfg.target.per_class, -(-needed // cfg.target.num_classes))
+        raw = _synthesize(cfg.target, cfg.seed + 2, per_class)
+    if needed > len(raw):
         raise ConfigurationError(
-            f"target dataset has {len(raw)} samples but the run needs {sum(sizes)} "
+            f"target dataset has {len(raw)} samples but the run needs {needed} "
             "(opt + eval + metrics)"
         )
     pad = _pad_spec(cfg, cfg.target)
@@ -271,22 +276,19 @@ def run_reprogram(cfg: ExperimentConfig, net: Network, out_dir=None,
     return record
 
 
-def synth_or_idx_target(cfg: ExperimentConfig) -> LabeledDataset:
-    rc = cfg.reprogram
-    needed = rc.opt_set_size + rc.eval_set_size + rc.metrics_set_size
-    if cfg.target.kind == "idx":
-        return _load_raw(cfg.target, cfg.seed, train=True)
-    per_class = max(cfg.target.per_class, -(-needed // cfg.target.num_classes))
-    return _synthesize(cfg.target, cfg.seed + 2, per_class)
-
-
-def cmd_reprogram(cfg: ExperimentConfig, model_dir, out_dir=None) -> MetricsRecord:
+def _load_checkpoint(cfg: ExperimentConfig, model_dir) -> Network:
+    """The model at ``model_dir``; ConfigurationError unless its input shape is the config's."""
     net = load_model(model_dir)
     if net.input_shape != cfg.model.input_shape:
         raise ConfigurationError(
             f"checkpoint input shape {net.input_shape} does not match config "
             f"{cfg.model.input_shape}"
         )
+    return net
+
+
+def cmd_reprogram(cfg: ExperimentConfig, model_dir, out_dir=None) -> MetricsRecord:
+    net = _load_checkpoint(cfg, model_dir)
     return run_reprogram(cfg, net, out_dir if out_dir is not None else Path(cfg.out) / "reprogram")
 
 
@@ -455,11 +457,12 @@ def _in_own_worker(sweep: _Sweep, task, *args):
 def cmd_sweep(cfg: ExperimentConfig, model_dir, out_dir=None, jobs: int = 1) -> tuple[list, list]:
     """One reprogramming run per mask outer size; failures isolate per run.
 
-    The parent loads the checkpoint and builds the target sets once, then runs
-    the sweep's tasks (_schedule): one zero-program task, and per mask an
-    optimization followed by a post task. At ``jobs`` = 1 they run inline in a
-    fixed order, otherwise on one pool of ``jobs`` workers. A repeated size is
-    a ConfigurationError before any work. An error in the zero-program task
+    The parent loads the checkpoint (_load_checkpoint) and builds the target
+    sets once, then runs the sweep's tasks (_schedule): one zero-program task,
+    and per mask an optimization followed by a post task. At ``jobs`` = 1 they
+    run inline in a fixed order, otherwise on one pool of ``jobs`` workers. A
+    repeated size, or a checkpoint whose input shape is not the config's, is a
+    ConfigurationError before any work. An error in the zero-program task
     fails the sweep. A size whose mask cannot be built, or
     whose task raises, fails alone. When a worker dies, finished results are
     kept and the lost tasks run again one at a time, each in a fresh worker
@@ -473,6 +476,7 @@ def cmd_sweep(cfg: ExperimentConfig, model_dir, out_dir=None, jobs: int = 1) -> 
     repeated = sorted({size for size in sizes if sizes.count(size) > 1})
     if repeated:
         raise ConfigurationError(f"mask_outer_sizes repeats {repeated}; each size runs once")
+    net = _load_checkpoint(cfg, model_dir)
     out_dir = Path(out_dir if out_dir is not None else Path(cfg.out) / "sweep")
     out_dir.mkdir(parents=True, exist_ok=True)
     run_dirs = [str(out_dir / f"mask_{size}") for size in sizes]
@@ -484,7 +488,6 @@ def cmd_sweep(cfg: ExperimentConfig, model_dir, out_dir=None, jobs: int = 1) -> 
             masks[i] = _build_mask(cfg, size)
         except ReproLabError as exc:
             failures[i] = _TaskError.of(exc)
-    net = load_model(model_dir)
     futures: dict[tuple, Future] = {}
     if masks:
         sweep = _Sweep(cfg, net, _target_sets(cfg), masks, sizes, run_dirs)

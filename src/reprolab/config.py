@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import types
+import typing
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -105,11 +107,30 @@ _SECTION_TYPES = {
 }
 
 
+def _has_type(value, hint) -> bool:
+    """Whether ``value`` as YAML loads it has the field type ``hint``, unconverted:
+    an int is a float, a bool is no number, and a list is a tuple."""
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):
+        return any(_has_type(value, arg) for arg in args)
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple)) and len(value) == len(args) and all(
+            _has_type(v, arg) for v, arg in zip(value, args))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 def _build_section(cls, data: dict, where: str):
     allowed = {f.name for f in fields(cls)}
     unknown = set(data) - allowed
     if unknown:
         raise ConfigurationError(f"unknown keys {sorted(unknown)} in '{where}' section")
+    hints = typing.get_type_hints(cls)
+    for name, value in data.items():
+        if not _has_type(value, hints[name]):
+            raise ConfigurationError(
+                f"'{where}.{name}' must be {cls.__annotations__[name]}, got {value!r}")
     return cls(**data)
 
 

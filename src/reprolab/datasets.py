@@ -8,15 +8,14 @@ image is exactly 0, which the reprogramming mask later relies on.
 
 from __future__ import annotations
 
-import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, ConsistencyError, FormatError, ShapeError
-from .tensor import Tensor, load_tensor, replace_file, save_tensor, write_json
+from .tensor import Tensor, replace_file
 
 _IDX_IMAGES_MAGIC = 0x00000803
 _IDX_LABELS_MAGIC = 0x00000801
@@ -292,32 +291,3 @@ def split_dataset(ds: LabeledDataset, sizes: list[int], seed: int) -> list[Label
         parts.append(ds.subset(perm[start : start + size], name=f"{ds.name}[{k}]"))
         start += size
     return parts
-
-
-def save_dataset(ds: LabeledDataset, directory, manifest_extra: dict | None = None) -> None:
-    """Dump images to the tensor binary format plus a JSON manifest and labels."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    save_tensor(ds.images, directory / "images.tnsr")
-    manifest = {
-        "name": ds.name,
-        "count": len(ds),
-        "num_classes": ds.num_classes,
-        "shape": list(ds.images.shape[1:]),
-        "labels": [int(v) for v in ds.labels],
-    }
-    if manifest_extra:
-        manifest.update(manifest_extra)
-    write_json(directory / "manifest.json", manifest)
-
-
-def load_dataset(directory) -> LabeledDataset:
-    directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    images = load_tensor(directory / "images.tnsr")
-    return LabeledDataset(
-        images=images,
-        labels=np.asarray(manifest["labels"], dtype=np.int64),
-        num_classes=int(manifest["num_classes"]),
-        name=manifest.get("name", directory.name),
-    )

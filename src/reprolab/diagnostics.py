@@ -24,7 +24,7 @@ from .errors import ConfigurationError, SchemaError
 from .models import Network, _predict_chunks, accuracy
 # Not called here, but perfbench/spans.py wraps it where diagnostics would look it up.
 from .models import predict_batch  # noqa: F401
-from .reprogram import ClassMap, Mask, Program, _delta_array
+from .reprogram import ClassMap, Mask, _delta_array
 from .tensor import Tensor, replace_file
 
 CSV_HEADER = [
@@ -174,23 +174,17 @@ def gradient_alignment(gradients) -> float:
 
 def _input_gradients(net, images: np.ndarray, labels: np.ndarray, prog, mask: Mask,
                      class_map: ClassMap) -> np.ndarray:
-    """Unmasked per-sample input gradients at x_i + delta o M; shape (n, *input)."""
+    """Unmasked per-sample input gradients at x_i + delta o M; shape (n, *input).
+
+    One batched backward suffices: with the batch loss scaled by n, the input
+    gradient at slot i is exactly the gradient of sample i's own loss.
+    """
     x = Tensor(images, requires_grad=True)
     pert = T.add(x, T.mul(Tensor(_delta_array(prog)), Tensor(mask.array)))
     loss = T.scale(T.softmax_cross_entropy(net.forward(pert), class_map.apply(labels)),
                    len(images))
     T.backward(loss)
     return x.grad if x.grad is not None else np.zeros_like(images)
-
-
-def per_sample_masked_gradients(net, images: np.ndarray, labels: np.ndarray, prog,
-                                mask: Mask, class_map: ClassMap) -> np.ndarray:
-    """Per-sample input gradients at x_i + delta o M, masked; shape (n, *input).
-
-    One batched backward suffices: with the batch loss scaled by n, the input
-    gradient at slot i is exactly the gradient of sample i's own loss.
-    """
-    return _input_gradients(net, images, labels, prog, mask, class_map) * mask.array
 
 
 def _alignment_per_mask(net, dataset: LabeledDataset, prog, mask: Mask, masks: list[Mask],
@@ -231,15 +225,6 @@ def zero_program_alignment(net, dataset: LabeledDataset, masks: list[Mask],
     return _alignment_per_mask(net, dataset, zero, masks[0], masks, class_map, batch_size)
 
 
-def alignment_before_after(net, eval_set: LabeledDataset, mask: Mask, class_map: ClassMap,
-                           prog: Program) -> tuple[float, float]:
-    """Gradient alignment at the zero program (r0) and at the optimum (rN)."""
-    zero = np.zeros(mask.array.shape)
-    r0, _ = alignment_stats(net, eval_set, zero, mask, class_map)
-    rn, _ = alignment_stats(net, eval_set, prog, mask, class_map)
-    return r0, rn
-
-
 # -- first-order loss predictors ------------------------------------------------------
 
 
@@ -261,17 +246,6 @@ def predicted_loss_drop(g, p, epsilon: float = 1.0) -> float:
     else:
         raise ConfigurationError(f"unsupported norm p={p!r}; use 1, 2, or inf")
     return -float(epsilon) * norm
-
-
-def linearized_loss(net, images, labels, mask: Mask, class_map: ClassMap, delta,
-                    loss_fn=None) -> float:
-    """First-order surrogate: zero-program loss plus delta^T (average gradient at 0)."""
-    from .reprogram import average_masked_gradient, reprogramming_loss
-
-    zero = np.zeros(mask.array.shape)
-    base = reprogramming_loss(net, images, labels, zero, mask, class_map, loss_fn)
-    g = average_masked_gradient(net, images, labels, zero, mask, class_map, loss_fn)
-    return base + float(np.vdot(_delta_array(delta), g.array))
 
 
 # -- confusion matrices ----------------------------------------------------------------

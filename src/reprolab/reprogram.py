@@ -60,9 +60,6 @@ class ClassMap:
     def apply(self, labels: np.ndarray) -> np.ndarray:
         return self.map[np.asarray(labels, dtype=np.int64)]
 
-    def inverse(self) -> dict[int, int]:
-        return {int(src): tgt for tgt, src in enumerate(self.map)}
-
 
 @dataclass
 class Program:
@@ -171,23 +168,7 @@ def box_project(delta):
     return np.clip(np.asarray(delta, dtype=np.float64), -1.0, 1.0)
 
 
-def apply_program(x: Tensor, prog, mask: Mask) -> Tensor:
-    """x + delta o M for a sample or batch whose masked region is exactly 0."""
-    if not isinstance(x, Tensor):
-        x = Tensor(x)
-    marr = mask.array
-    if x.shape[-3:] != marr.shape:
-        raise ShapeError(f"input shape {x.shape} does not match mask {marr.shape}")
-    if np.abs(x.array[..., marr != 0]).max(initial=0.0) != 0.0:
-        raise ConfigurationError(
-            "input is nonzero under the mask; programs only apply to zero-padded frames"
-        )
-    if isinstance(prog, (Program, np.ndarray, list)):
-        prog = Tensor(_delta_array(prog))
-    return T.add(x, T.mul(prog, Tensor(marr)))
-
-
-def _mean_loss(net, images: np.ndarray, offset, mapped: np.ndarray, loss_fn) -> float:
+def _mean_loss(net, images: np.ndarray, offset, mapped: np.ndarray, loss_fn=None) -> float:
     """Mean loss of images + offset over models.predict_batch's evaluation chunks;
     ``loss_fn`` None is softmax cross-entropy, and ``offset`` None is zero."""
     loss_fn = loss_fn or T.softmax_cross_entropy
@@ -197,12 +178,10 @@ def _mean_loss(net, images: np.ndarray, offset, mapped: np.ndarray, loss_fn) -> 
     return total / len(images)
 
 
-def reprogramming_loss(net, images, labels, prog, mask: Mask, class_map: ClassMap,
-                       loss_fn=None) -> float:
-    """Mean loss of perturbed samples against their mapped source labels."""
+def reprogramming_loss(net, images, labels, prog, mask: Mask, class_map: ClassMap) -> float:
+    """Mean cross-entropy of perturbed samples against their mapped source labels."""
     images = images.array if isinstance(images, Tensor) else np.asarray(images, dtype=np.float64)
-    return _mean_loss(net, images, _delta_array(prog) * mask.array, class_map.apply(labels),
-                      loss_fn)
+    return _mean_loss(net, images, _delta_array(prog) * mask.array, class_map.apply(labels))
 
 
 def _evaluation_set(opt_set: LabeledDataset, eval_set: LabeledDataset,

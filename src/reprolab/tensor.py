@@ -590,16 +590,3 @@ def load_tensor(path) -> Tensor:
             raise FormatError(f"{path}: truncated payload, expected {count} float64 values")
         arr = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
     return Tensor(arr)
-
-
-def tensor_to_json(t: Tensor) -> dict:
-    return {"shape": list(t.shape), "data": [float(v) for v in t.data]}
-
-
-def tensor_from_json(obj: dict) -> Tensor:
-    shape = tuple(int(s) for s in obj["shape"])
-    arr = np.asarray(obj["data"], dtype=np.float64)
-    expected = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    if arr.size != expected:
-        raise FormatError(f"JSON tensor payload length {arr.size} does not match shape {shape}")
-    return Tensor(arr.reshape(shape))

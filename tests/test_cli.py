@@ -551,6 +551,16 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
 
+    @pytest.mark.parametrize("argv", [["reprogram"], ["sweep"], ["sweep", "--jobs", "2"]])
+    def test_checkpoint_of_other_input_shape(self, pipeline, tmp_path, capsys, argv):
+        cfg_path = _write_config(_tiny_config(tmp_path), tmp_path / "cfg.yaml",
+                                 model__input_shape=[3, 20, 20])
+        assert main([*argv, "--config", str(cfg_path), "--model", str(pipeline["model_dir"])]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and \
+            "checkpoint input shape (3, 16, 16) does not match config (3, 20, 20)" in err
+        assert not (tmp_path / "sweep").exists()
+
     @pytest.mark.parametrize("edit, message", [
         (lambda line: line.rsplit(",", 3)[0], "line 3: 9 fields, expected 12"),
         (lambda line: line.replace(",0.5,", ",abc,", 1), "line 3: could not convert"),
@@ -597,6 +607,15 @@ class TestConfigValues:
         ("reprogram", "mask_outer_size", "12"),
         ("reprogram", "class_map", list("abcdefghij")),
         ("reprogram", "class_map", 3),
+        ("reprogram", "target__image_size", 28),
+        ("reprogram", "model__input_shape", 64),
+        ("reprogram", "reprogram__eta", "x"),
+        ("reprogram", "train__epochs", "2"),
+        ("reprogram", "source__per_class", "x"),
+        ("reprogram", "source__num_classes", "3"),
+        ("reprogram", "model__width_scale", "a"),
+        ("reprogram", "source__family", 3),
+        ("reprogram", "model__trained", "no"),
     ])
     def test_value_of_wrong_type_rejected(self, pipeline, tmp_path, capsys, command, key, value):
         cfg_path = _write_config(_tiny_config(tmp_path), tmp_path / "cfg.yaml", **{key: value})

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from reprolab.datasets import (
     LabeledDataset,
     PadSpec,
-    load_dataset,
     load_idx,
     make_batches,
     preprocess,
-    save_dataset,
     split_dataset,
     synth_target_dataset,
     write_idx,
@@ -227,11 +225,3 @@ class TestSplitAndDump:
         ds = synth_target_dataset(2, per_class=2, size=(6, 6))
         with pytest.raises(ConfigurationError):
             split_dataset(ds, [15, 15], seed=4)
-
-    def test_dump_round_trip(self, tmp_path):
-        ds = synth_target_dataset(2, per_class=3, size=(8, 8))
-        save_dataset(ds, tmp_path / "dump", {"seed": 2})
-        again = load_dataset(tmp_path / "dump")
-        assert np.array_equal(again.images.array, ds.images.array)
-        assert np.array_equal(again.labels, ds.labels)
-        assert again.num_classes == ds.num_classes

@@ -15,7 +15,6 @@ from reprolab.reprogram import (
     Mask,
     Program,
     ReprogramConfig,
-    apply_program,
     average_masked_gradient,
     box_project,
     build_class_map,
@@ -110,38 +109,6 @@ class TestClassMap:
     def test_apply_and_inverse(self):
         cm = ClassMap(np.array([4, 0, 2]))
         assert np.array_equal(cm.apply([0, 1, 2, 0]), [4, 0, 2, 4])
-        assert cm.inverse() == {4: 0, 0: 1, 2: 2}
-
-
-class TestApplyProgram:
-    def test_zero_delta_identity(self):
-        ds = _padded_target()
-        mask = build_frame_mask((3, 16, 16), (8, 8))
-        out = apply_program(ds.images, np.zeros((3, 16, 16)), mask)
-        assert np.array_equal(out.array, ds.images.array)
-
-    def test_all_zero_mask_identity(self, rng):
-        ds = _padded_target()
-        mask = build_frame_mask((3, 16, 16), (16, 16))  # degenerate: nothing perturbable
-        delta = rng.uniform(-1, 1, (3, 16, 16))
-        out = apply_program(ds.images, delta, mask)
-        assert np.array_equal(out.array, ds.images.array)
-
-    def test_frame_gets_delta_inner_keeps_x(self, rng):
-        ds = _padded_target(n=10)
-        mask = build_frame_mask((3, 16, 16), (8, 8))
-        delta = rng.uniform(-1, 1, (3, 16, 16))
-        out = apply_program(ds.images, delta, mask).array
-        m = mask.array.astype(bool)
-        assert np.array_equal(out[:, m], np.broadcast_to(delta[m], (10, m.sum())))
-        assert np.array_equal(out[:, ~m], ds.images.array[:, ~m])
-        assert out.min() >= -1.0 and out.max() <= 1.0
-
-    def test_nonzero_under_mask_rejected(self, rng):
-        mask = build_frame_mask((3, 16, 16), (8, 8))
-        bad = Tensor(rng.uniform(0.1, 1.0, (2, 3, 16, 16)))
-        with pytest.raises(ConfigurationError, match="nonzero under the mask"):
-            apply_program(bad, np.zeros((3, 16, 16)), mask)
 
 
 class TestBoxProject:

@@ -15,8 +15,6 @@ from reprolab.tensor import (
     relu,
     save_tensor,
     softmax_cross_entropy,
-    tensor_from_json,
-    tensor_to_json,
 )
 
 from oracles import conv2d_loops, cross_entropy_mpmath, matmul_loops, maxpool2d_loops
@@ -301,12 +299,6 @@ class TestSerialization:
         (tmp_path / "short.tnsr").write_bytes(blob[:-8])
         with pytest.raises(FormatError, match="truncated"):
             load_tensor(tmp_path / "short.tnsr")
-
-    def test_json_round_trip(self, rng):
-        t = Tensor(rng.normal(0, 1, (2, 2)))
-        again = tensor_from_json(tensor_to_json(t))
-        assert again.shape == t.shape
-        assert np.array_equal(again.array, t.array)
 
 
 def test_tensor_invariants(rng):

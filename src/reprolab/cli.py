@@ -573,11 +573,9 @@ def cmd_correlate(metrics_csv, x_column: str, y_column: str,
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "out", None) is not None:
-        cfg.out = args.out
-    return cfg
+    overrides = {name: getattr(args, name) for name in ("seed", "out")
+                 if getattr(args, name) is not None}
+    return replace(cfg, **overrides)
 
 
 def main(argv=None) -> int:

@@ -1,5 +1,12 @@
 """Experiment configuration: YAML in, canonical hash out.
 
+The dataclass annotations are the only schema. ``_build_section`` checks every
+key and value against them at every level, converting nothing: a bool is no
+number, a tuple field fixes its length, and a field annotated with a dataclass
+is a nested section checked the same way. ``__post_init__`` methods hold the
+value checks (ranges, kinds), so command-line overrides applied with
+``dataclasses.replace`` pass them too.
+
 The hash is the sha256 of a canonical JSON form (sorted keys, shortest
 round-trip float formatting) of the resolved configuration minus the output
 directory, so identical experiments hash identically wherever they run.
@@ -11,7 +18,7 @@ import hashlib
 import json
 import types
 import typing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import yaml
@@ -65,8 +72,6 @@ class ModelSpec:
 
     def __post_init__(self):
         self.input_shape = tuple(self.input_shape)
-        if len(self.input_shape) != 3:
-            raise ConfigurationError(f"input_shape must be (C, H, W), got {self.input_shape}")
 
     @property
     def tag(self) -> str:
@@ -82,29 +87,13 @@ class ExperimentConfig:
     model: ModelSpec = field(default_factory=ModelSpec)
     train: TrainConfig = field(default_factory=TrainConfig)
     reprogram: ReprogramConfig = field(default_factory=ReprogramConfig)
-    class_map: object = "first-ten"
+    class_map: str | list[int] = "first-ten"
     mask_outer_size: int | None = None
     mask_outer_sizes: list[int] = field(default_factory=list)
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not isinstance(self.mask_outer_size, (int, type(None))):
-            raise ConfigurationError(
-                f"mask_outer_size must be an integer, got {self.mask_outer_size!r}")
-        if not isinstance(self.mask_outer_sizes, (list, tuple)) or not all(
-                isinstance(size, int) for size in self.mask_outer_sizes):
-            raise ConfigurationError(
-                f"mask_outer_sizes must be a list of integers, got {self.mask_outer_sizes!r}")
-
-
-_SECTION_TYPES = {
-    "source": DatasetSpec,
-    "target": DatasetSpec,
-    "model": ModelSpec,
-    "train": TrainConfig,
-    "reprogram": ReprogramConfig,
-}
 
 
 def _has_type(value, hint) -> bool:
@@ -116,39 +105,38 @@ def _has_type(value, hint) -> bool:
     if typing.get_origin(hint) is tuple:
         return isinstance(value, (list, tuple)) and len(value) == len(args) and all(
             _has_type(v, arg) for v, arg in zip(value, args))
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
     if isinstance(value, bool):
         return hint is bool
     return isinstance(value, (int, float) if hint is float else hint)
 
 
-def _build_section(cls, data: dict, where: str):
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(data) - allowed
+def _build_section(cls, data, where: str = ""):
+    """``cls`` built from the mapping ``data`` at config path ``where`` ('' at the
+    top level), each key and value checked against ``cls``'s fields and annotations;
+    a field annotated with a dataclass is a section, built the same way."""
+    place = f"'{where}' section" if where else "top-level config"
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{place} must be a mapping, got {data!r}")
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
-        raise ConfigurationError(f"unknown keys {sorted(unknown)} in '{where}' section")
+        raise ConfigurationError(f"unknown keys {sorted(unknown)} in {place}")
     hints = typing.get_type_hints(cls)
-    for name, value in data.items():
-        if not _has_type(value, hints[name]):
-            raise ConfigurationError(
-                f"'{where}.{name}' must be {cls.__annotations__[name]}, got {value!r}")
-    return cls(**data)
-
-
-def config_from_dict(data: dict) -> ExperimentConfig:
-    data = dict(data or {})
     kwargs = {}
-    for key, cls in _SECTION_TYPES.items():
-        if key in data:
-            section = data.pop(key)
-            if not isinstance(section, dict):
-                raise ConfigurationError(f"'{key}' must be a mapping")
-            kwargs[key] = _build_section(cls, section, key)
-    allowed = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigurationError(f"unknown top-level config keys {sorted(unknown)}")
-    kwargs.update(data)
-    return ExperimentConfig(**kwargs)
+    for name, value in data.items():
+        key = f"{where}.{name}" if where else name
+        if is_dataclass(hints[name]):
+            value = _build_section(hints[name], value, key)
+        elif not _has_type(value, hints[name]):
+            raise ConfigurationError(
+                f"'{key}' must be {cls.__annotations__[name]}, got {value!r}")
+        kwargs[name] = value
+    return cls(**kwargs)
+
+
+def config_from_dict(data: dict | None) -> ExperimentConfig:
+    return _build_section(ExperimentConfig, {} if data is None else data)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -159,35 +147,17 @@ def load_config(path) -> ExperimentConfig:
         data = yaml.safe_load(path.read_text())
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"{path}: not valid YAML: {exc}") from exc
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{path}: top level must be a mapping")
     return config_from_dict(data)
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return asdict(cfg)
-
-
-def _canonical(obj):
-    if isinstance(obj, dict):
-        return {str(k): _canonical(v) for k, v in sorted(obj.items())}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
-    if isinstance(obj, Path):
-        return str(obj)
-    return obj
 
 
 def canonical_json(obj) -> str:
     """Sorted-key compact JSON; float repr is the shortest round-trip form."""
-    return json.dumps(_canonical(obj), sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def config_hash(cfg: ExperimentConfig, **overrides) -> str:
     """Stable 16-hex digest of the resolved config (output path excluded)."""
-    data = config_to_dict(cfg)
+    data = asdict(cfg)
     data.pop("out", None)
     data.update(overrides)
     return hashlib.sha256(canonical_json(data).encode()).hexdigest()[:16]

@@ -137,18 +137,15 @@ def build_class_map(num_target_classes: int, spec="first-ten",
             raise ConfigurationError(f"unknown class-map spec {spec!r}")
         mapping = np.arange(num_target_classes, dtype=np.int64)
     else:
-        if not isinstance(spec, (list, tuple)) or not all(
-                isinstance(v, (int, np.integer)) for v in spec):
-            raise ConfigurationError(f"class map must be 'first-ten' or a list of classes, "
-                                     f"got {spec!r}")
         mapping = np.asarray(spec, dtype=np.int64)
         if len(mapping) != num_target_classes:
             raise ConfigurationError(
                 f"class map has {len(mapping)} entries for {num_target_classes} classes"
             )
-    if num_source_classes is not None and (mapping >= num_source_classes).any():
+    upper = np.inf if num_source_classes is None else num_source_classes
+    if ((mapping < 0) | (mapping >= upper)).any():
         raise ConfigurationError(
-            f"class map {list(mapping)} references classes outside [0, {num_source_classes})"
+            f"class map {mapping.tolist()} references classes outside [0, {upper})"
         )
     return ClassMap(map=mapping)
 

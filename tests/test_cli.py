@@ -2,7 +2,7 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -591,6 +591,21 @@ def _write_config(cfg: ExperimentConfig, path: Path, **changes) -> Path:
     return path
 
 
+def _int_keys():
+    """``(key, value)`` for every config key annotated with int, the value holding a bool."""
+    cfg = ExperimentConfig()
+    for section in ["", "source", "target", "model", "train", "reprogram"]:
+        obj = getattr(cfg, section) if section else cfg
+        for f in fields(obj):
+            if "int" in str(f.type):
+                default = getattr(obj, f.name)
+                if isinstance(default, tuple):
+                    value = [True, *default[1:]]
+                else:
+                    value = True if default is None or isinstance(default, int) else [True]
+                yield f"{section}__{f.name}" if section else f.name, value
+
+
 class TestConfigValues:
     @pytest.mark.parametrize("name", ["opt_set_size", "eval_set_size", "metrics_set_size"])
     def test_empty_reprogram_set_rejected(self, pipeline, tmp_path, capsys, name):
@@ -616,6 +631,10 @@ class TestConfigValues:
         ("reprogram", "model__width_scale", "a"),
         ("reprogram", "source__family", 3),
         ("reprogram", "model__trained", "no"),
+        ("sweep", "seed", True),
+        ("reprogram", "mask_outer_size", True),
+        ("sweep", "mask_outer_sizes", [True, 12]),
+        ("reprogram", "class_map", [True, False] + list(range(2, 10))),
     ])
     def test_value_of_wrong_type_rejected(self, pipeline, tmp_path, capsys, command, key, value):
         cfg_path = _write_config(_tiny_config(tmp_path), tmp_path / "cfg.yaml", **{key: value})
@@ -623,6 +642,28 @@ class TestConfigValues:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(value) in err
+        assert f"'{key.replace('__', '.')}' must be" in err
+
+    @pytest.mark.parametrize("key, value", list(_int_keys()))
+    def test_bool_for_int_rejected(self, tmp_path, capsys, key, value):
+        cfg_path = _write_config(_tiny_config(tmp_path / "runs"), tmp_path / "cfg.yaml",
+                                 **{key: value})
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"'{key.replace('__', '.')}' must be" in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", ["train", "reprogram", "sweep"])
+    def test_negative_seed_override_rejected(self, pipeline, tmp_path, capsys, command):
+        cfg_path = _write_config(_tiny_config(tmp_path / "runs"), tmp_path / "cfg.yaml")
+        argv = [command, "--config", str(cfg_path), "--seed", "-3"]
+        if command != "train":
+            argv += ["--model", str(pipeline["model_dir"])]
+        if command == "sweep":
+            argv += ["--jobs", "2"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -3\n"
+        assert not (tmp_path / "runs").exists()
 
     def test_valid_values_keep_their_hash(self, tmp_path):
         # Digests of the same configs before their values were checked.
@@ -631,6 +672,28 @@ class TestConfigValues:
         cfg_path = _write_config(cfg, tmp_path / "cfg.yaml", mask_outer_size=12,
                                  class_map=[3, 1, 2, 0, 4, 5, 6, 7, 8, 9])
         assert config_hash(load_config(cfg_path)) == "db91aa31cbbbcfbf"
+        # An IDX source, a null path and a non-default value in every section,
+        # digested before canonical_json became plain json.dumps.
+        idx = config_from_dict({
+            "seed": 5, "out": "runs/idx",
+            "source": {"kind": "idx", "name": "digits", "images": "data/train-images.idx",
+                       "labels": "data/train-labels.idx", "test_images": None,
+                       "test_labels": "data/test-labels.idx", "image_size": [12, 12]},
+            "target": {"kind": "synthetic", "family": "strokes", "num_classes": 4,
+                       "per_class": 40, "test_per_class": 7, "image_size": [10, 10],
+                       "noise_amplitude": 12.5, "max_shift": 1},
+            "model": {"input_shape": [1, 20, 20], "width_scale": 0.5, "trained": False,
+                      "dropout_enabled": True, "dropout_rate": 0.1},
+            "train": {"epochs": 3, "learning_rate": 0.01, "momentum": 0.5, "batch_size": 20,
+                      "seed": 2},
+            "reprogram": {"eta": 0.1, "epochs": 7, "batch_size": 25, "opt_set_size": 300,
+                          "eval_set_size": 200, "metrics_set_size": 100,
+                          "use_heldout_eval": False, "seed": 4},
+            "class_map": [2, 0, 1, 3],
+            "mask_outer_size": 18,
+            "mask_outer_sizes": [14, 18, 20],
+        })
+        assert config_hash(idx) == "7d42faa942ff75cd"
 
 
 def _idx_spec(root: Path, seed: int, name: str, test: bool) -> DatasetSpec:

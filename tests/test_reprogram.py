@@ -106,6 +106,12 @@ class TestClassMap:
         with pytest.raises(ConfigurationError, match="outside"):
             build_class_map(3, [0, 1, 11], num_source_classes=10)
 
+    @pytest.mark.parametrize("num_source_classes", [None, 10])
+    def test_negative_class_rejected(self, num_source_classes):
+        # Index -1 would pick the last source logit, which class 2 maps to as well.
+        with pytest.raises(ConfigurationError, match=r"\[-1, 1, 9\] references classes outside"):
+            build_class_map(3, [-1, 1, 9], num_source_classes=num_source_classes)
+
     def test_apply_and_inverse(self):
         cm = ClassMap(np.array([4, 0, 2]))
         assert np.array_equal(cm.apply([0, 1, 2, 0]), [4, 0, 2, 4])

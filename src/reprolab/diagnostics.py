@@ -172,12 +172,19 @@ def gradient_alignment(gradients) -> float:
     return _alignment_ratio(sum_grad, sum_norms, len(arrays))
 
 
+# Input elements per chunk of per-sample input gradients: 5 samples at 3x64x64,
+# 21 at 3x32x32, 85 at 3x16x16. A chunk's tape stays small, so the memory of the
+# alignment diagnostics does not grow with the size of the evaluation set.
+_CHUNK_ELEMENTS = 1 << 16
+
+
 def _input_gradients(net, images: np.ndarray, labels: np.ndarray, prog, mask: Mask,
                      class_map: ClassMap) -> np.ndarray:
     """Unmasked per-sample input gradients at x_i + delta o M; shape (n, *input).
 
-    One batched backward suffices: with the batch loss scaled by n, the input
-    gradient at slot i is exactly the gradient of sample i's own loss.
+    One batched backward over the chunk ``images`` suffices: with the chunk's
+    loss scaled by n, the input gradient at slot i is exactly the gradient of
+    sample i's own loss.
     """
     x = Tensor(images, requires_grad=True)
     pert = T.add(x, T.mul(Tensor(_delta_array(prog)), Tensor(mask.array)))
@@ -188,41 +195,45 @@ def _input_gradients(net, images: np.ndarray, labels: np.ndarray, prog, mask: Ma
 
 
 def _alignment_per_mask(net, dataset: LabeledDataset, prog, mask: Mask, masks: list[Mask],
-                        class_map: ClassMap, batch_size: int) -> list[tuple[float, float]]:
-    """(r, ||g||_1) for each of ``masks``, from the input gradients at x + delta o M."""
+                        class_map: ClassMap) -> list[tuple[float, float]]:
+    """(r, ||g||_1) for each of ``masks``, from the input gradients at x + delta o M.
+
+    The gradients come in chunks of about _CHUNK_ELEMENTS input elements; each
+    mask's gradient sum and norm sum accumulate over the chunks.
+    """
     images = dataset.images.array
+    chunk = max(1, _CHUNK_ELEMENTS // int(np.prod(images.shape[1:])))
     sum_grads = [np.zeros(m.array.shape) for m in masks]
     sum_norms = [0.0] * len(masks)
-    count = 0
-    for start in range(0, len(dataset), batch_size):
-        stop = min(start + batch_size, len(dataset))
-        raw = _input_gradients(net, images[start:stop], dataset.labels[start:stop], prog, mask,
-                               class_map)
+    for start in range(0, len(dataset), chunk):
+        rows = slice(start, start + chunk)
+        raw = _input_gradients(net, images[rows], dataset.labels[rows], prog, mask, class_map)
         for i, m in enumerate(masks):
             grads = raw * m.array
             sum_grads[i] += grads.sum(axis=0)
             sum_norms[i] += float(np.abs(grads).sum())
-        count += stop - start
+    count = len(dataset)
     return [(_alignment_ratio(sum_grad, sum_norm, count), float(np.abs(sum_grad / count).sum()))
             for sum_grad, sum_norm in zip(sum_grads, sum_norms)]
 
 
-def alignment_stats(net, dataset: LabeledDataset, prog, mask: Mask, class_map: ClassMap,
-                    batch_size: int = 50) -> tuple[float, float]:
+def alignment_stats(net, dataset: LabeledDataset, prog, mask: Mask,
+                    class_map: ClassMap) -> tuple[float, float]:
     """(r, ||g||_1) of masked per-sample gradients over a dataset, streamed."""
-    return _alignment_per_mask(net, dataset, prog, mask, [mask], class_map, batch_size)[0]
+    return _alignment_per_mask(net, dataset, prog, mask, [mask], class_map)[0]
 
 
 def zero_program_alignment(net, dataset: LabeledDataset, masks: list[Mask],
-                           class_map: ClassMap, batch_size: int = 50) -> list[tuple[float, float]]:
-    """(r0, ||g||_1) at the zero program for each mask, from one backward per batch.
+                           class_map: ClassMap) -> list[tuple[float, float]]:
+    """(r0, ||g||_1) at the zero program for each mask, from one backward per chunk.
 
     At delta = 0 the perturbed input x + 0 o M is x for every mask, so all masks
-    share one input gradient and each only selects its coordinates. Entry i
-    equals alignment_stats(net, dataset, zeros, masks[i], ...) exactly.
+    share one input gradient per chunk of about _CHUNK_ELEMENTS input elements,
+    and each mask only selects its coordinates. Entry i equals
+    alignment_stats(net, dataset, zeros, masks[i], ...) exactly.
     """
     zero = np.zeros(masks[0].array.shape)
-    return _alignment_per_mask(net, dataset, zero, masks[0], masks, class_map, batch_size)
+    return _alignment_per_mask(net, dataset, zero, masks[0], masks, class_map)
 
 
 # -- first-order loss predictors ------------------------------------------------------

@@ -52,7 +52,7 @@ class ClassMap:
     def __post_init__(self):
         self.map = np.asarray(self.map, dtype=np.int64)
         if len(np.unique(self.map)) != len(self.map):
-            raise InjectivityError(f"class map {list(self.map)} reuses a source class")
+            raise InjectivityError(f"class map {self.map.tolist()} reuses a source class")
 
     def __len__(self) -> int:
         return len(self.map)

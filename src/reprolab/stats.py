@@ -148,6 +148,8 @@ def permutation_pvalue(x, y, method: str = "pearson", n_permutations: int = 1000
     """
     if method not in _METHODS:
         raise ConfigurationError(f"unknown method {method!r}; choose from {sorted(_METHODS)}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
     fn = _METHODS[method]
     x, y = _validate(x, y, method)
     observed = fn(x, y)

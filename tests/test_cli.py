@@ -479,6 +479,15 @@ class TestCorrelateCommand:
         with pytest.raises(SchemaError, match="RAA.*DA"):
             cmd_correlate(path, "RAA", "rN")
 
+    def test_negative_seed_is_an_error_line(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        self._write_rows(path)
+        argv = ["correlate", "--metrics", str(path), "--x", "RA", "--y", "rN", "--seed", "-3"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be a non-negative integer, got -3\n"
+        assert captured.out == ""
+
     def test_positive_relation_detected(self, tmp_path):
         path = tmp_path / "m.csv"
         self._write_rows(path, n=12, seed=5)

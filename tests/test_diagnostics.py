@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import reprolab.tensor as T
+from reprolab import diagnostics
 from reprolab.datasets import LabeledDataset, PadSpec, preprocess, synth_target_dataset
 from reprolab.diagnostics import (
     CSV_HEADER,
@@ -159,10 +162,50 @@ class TestZeroProgramAlignment:
         cm = build_class_map(10, "first-ten")
         masks = [build_frame_mask((3, 32, 32), (16, 16), outer) for outer in (None, 18, 22, 26)]
         zero = np.zeros((3, 32, 32))
-        # 300 samples in batches of 64 leave a partial last batch
-        shared = zero_program_alignment(net, ds, masks, cm, batch_size=64)
-        assert shared == [alignment_stats(net, ds, zero, m, cm, batch_size=64) for m in masks]
+        # 300 samples in chunks of 21 leave a partial last chunk
+        shared = zero_program_alignment(net, ds, masks, cm)
+        assert shared == [alignment_stats(net, ds, zero, m, cm) for m in masks]
         assert len(set(shared)) == len(masks)
+
+
+class TestAlignmentChunks:
+    def test_chunk_size_does_not_change_r_or_g(self, rng, small_net, monkeypatch):
+        ds, mask, cm = _setup(n=100, seed=3)
+        elements = int(np.prod(ds.images.shape[1:]))
+        assert len(ds) % (diagnostics._CHUNK_ELEMENTS // elements) != 0  # partial last chunk
+        masks = [build_frame_mask((3, 16, 16), (8, 8), outer) for outer in (None, 10, 12)]
+        delta = rng.uniform(-0.5, 0.5, (3, 16, 16))
+
+        def stats():
+            return [alignment_stats(small_net, ds, delta, mask, cm),
+                    *zero_program_alignment(small_net, ds, masks, cm)]
+
+        default = stats()
+        for chunk_elements in (1, len(ds) * elements):
+            monkeypatch.setattr(diagnostics, "_CHUNK_ELEMENTS", chunk_elements)
+            for (r, g), (r_ref, g_ref) in zip(stats(), default):
+                assert r == pytest.approx(r_ref, rel=1e-12, abs=0.0)
+                assert g == pytest.approx(g_ref, rel=1e-12, abs=0.0)
+        assert all(g > 0.0 for _, g in default)
+
+    def test_peak_memory_does_not_grow_with_the_set(self):
+        shape, inner = (3, 64, 64), (28, 28)
+        net = init_weights(build_cwnet(shape, width_scale=0.25), 4, "trained-init")
+        ds = preprocess(synth_target_dataset(4, per_class=5, size=inner), PadSpec(shape, inner))
+        mask = build_frame_mask(shape, inner)
+        cm = build_class_map(10, "first-ten")
+        delta = np.random.default_rng(4).uniform(-0.5, 0.5, shape)
+
+        def peak(subset):
+            tracemalloc.start()
+            try:
+                alignment_stats(net, subset, delta, mask, cm)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert len(ds) == 50
+        assert peak(ds) <= 1.25 * peak(ds.subset(np.arange(10)))
 
 
 class TestPredictedLossDrop:

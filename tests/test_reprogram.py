@@ -99,7 +99,7 @@ class TestClassMap:
         assert np.array_equal(cm.map, [3, 1, 2])
 
     def test_duplicate_rejected(self):
-        with pytest.raises(InjectivityError):
+        with pytest.raises(InjectivityError, match=r"class map \[1, 1, 2\] reuses"):
             build_class_map(3, [1, 1, 2])
 
     def test_range_checked_against_source(self):

@@ -47,7 +47,6 @@ from .diagnostics import (
     read_metrics_csv,
     save_confusion_csv,
     write_metrics,
-    zero_program_alignment,
 )
 
 # Not called here, but part of this module's namespace: perfbench/spans.py
@@ -205,14 +204,15 @@ def _class_map(cfg: ExperimentConfig, net: Network):
 def _zero_programs(cfg: ExperimentConfig, net: Network, sets: list[LabeledDataset],
                    masks: list[Mask]) -> list[ZeroProgram]:
     """The zero-program stage for each mask: one loss pass, one confusion pass
-    and one backward per batch, whatever the number of masks."""
+    and one backward per chunk, whatever the number of masks."""
     opt_set, eval_set, metrics_set = sets
     class_map = _class_map(cfg, net)
     net.set_requires_grad(False)
     eval_loss = zero_program_loss(net, opt_set, eval_set, class_map, cfg.reprogram)
-    confusion = confusion_matrix(net, metrics_set, None, masks[0], class_map)
+    confusion = confusion_matrix(net, metrics_set, None, class_map)
+    zero = np.zeros(net.input_shape)
     return [ZeroProgram(eval_loss, confusion, r0, g_l1)
-            for r0, g_l1 in zero_program_alignment(net, eval_set, masks, class_map)]
+            for r0, g_l1 in alignment_stats(net, eval_set, zero, masks, class_map)]
 
 
 def _best_epoch(cfg: ExperimentConfig, net: Network, sets: list[LabeledDataset],
@@ -249,8 +249,9 @@ def run_reprogram(cfg: ExperimentConfig, net: Network, out_dir=None,
         program = _best_epoch(cfg, net, sets, mask)
 
     prog = merge_zero_program(shared.eval_loss, program)
-    confusion_after = confusion_matrix(net, metrics_set, prog, mask, class_map)
-    rn, _ = alignment_stats(net, eval_set, prog, mask, class_map)
+    offset = prog.delta * mask.array
+    confusion_after = confusion_matrix(net, metrics_set, offset, class_map)
+    [(rn, _)] = alignment_stats(net, eval_set, offset, [mask], class_map)
 
     run_hash = config_hash(cfg, effective_mask_outer_size=outer)
     record = MetricsRecord(
@@ -460,16 +461,18 @@ def cmd_sweep(cfg: ExperimentConfig, model_dir, out_dir=None, jobs: int = 1) -> 
     The parent loads the checkpoint (_load_checkpoint) and builds the target
     sets once, then runs the sweep's tasks (_schedule): one zero-program task,
     and per mask an optimization followed by a post task. At ``jobs`` = 1 they
-    run inline in a fixed order, otherwise on one pool of ``jobs`` workers. A
-    repeated size, or a checkpoint whose input shape is not the config's, is a
-    ConfigurationError before any work. An error in the zero-program task
-    fails the sweep. A size whose mask cannot be built, or
+    run inline in a fixed order, otherwise on one pool of ``jobs`` workers.
+    ``jobs`` below 1, a repeated size, or a checkpoint whose input shape is not
+    the config's, is a ConfigurationError before any work. An error in the
+    zero-program task fails the sweep. A size whose mask cannot be built, or
     whose task raises, fails alone. When a worker dies, finished results are
     kept and the lost tasks run again one at a time, each in a fresh worker
     (_in_own_worker). Returns (records, failures). The combined CSV, JSON
     lines and ``failures.json`` are written afresh, rows in the order the
     sizes were given, so a re-run into the same directory replaces them.
     """
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     sizes = list(cfg.mask_outer_sizes)
     if len(sizes) < 2:
         raise ConfigurationError("a sweep needs at least 2 mask sizes")
@@ -542,6 +545,8 @@ def _column(records: list[MetricsRecord], name: str) -> np.ndarray:
 def cmd_correlate(metrics_csv, x_column: str, y_column: str,
                   methods=("pearson", "spearman", "kendall"), n_permutations: int = 10000,
                   seed: int = 0, out_dir=None) -> list:
+    if not methods:
+        raise ConfigurationError("no correlation method given")
     records = read_metrics_csv(metrics_csv)
     if len(records) < 3:
         raise ConfigurationError(f"need at least 3 metric rows, got {len(records)}")

@@ -51,6 +51,9 @@ class DatasetSpec:
             raise ConfigurationError(f"dataset kind must be synthetic or idx, got {self.kind!r}")
         if self.kind == "idx" and (self.images is None or self.labels is None):
             raise ConfigurationError("idx datasets need 'images' and 'labels' paths")
+        if self.kind == "idx" and (self.test_images is None) != (self.test_labels is None):
+            raise ConfigurationError("idx datasets need both 'test_images' and 'test_labels' "
+                                     "paths, or neither")
         self.image_size = tuple(self.image_size)
 
     @property

@@ -24,7 +24,7 @@ from .errors import ConfigurationError, SchemaError
 from .models import Network, _predict_chunks, accuracy
 # Not called here, but perfbench/spans.py wraps it where diagnostics would look it up.
 from .models import predict_batch  # noqa: F401
-from .reprogram import ClassMap, Mask, _delta_array
+from .reprogram import ClassMap, Mask
 from .tensor import Tensor, replace_file
 
 CSV_HEADER = [
@@ -67,6 +67,8 @@ class MetricsRecord:
 
     @classmethod
     def from_csv_row(cls, row: list[str]) -> "MetricsRecord":
+        if row[3] not in ("true", "false"):
+            raise ValueError(f"trained must be true or false, got {row[3]!r}")
         return cls(
             source=row[0], target=row[1], model=row[2], trained=row[3] == "true",
             mask_size=int(row[4]), da=float(row[5]), ra=float(row[6]), r0=float(row[7]),
@@ -98,16 +100,15 @@ def csv_text(rows) -> str:
     return buffer.getvalue()
 
 
-def write_metrics(records, csv_path, jsonl_path=None) -> None:
+def write_metrics(records, csv_path, jsonl_path) -> None:
     """Write the CSV report and JSON lines afresh, one row per record.
 
     The bytes equal those that append_metrics writes for the same records into
     files that did not exist.
     """
     replace_file(csv_path, csv_text([CSV_HEADER, *(record.to_csv_row() for record in records)]))
-    if jsonl_path is not None:
-        replace_file(jsonl_path, "".join(json.dumps(record.to_json(), sort_keys=True) + "\n"
-                                         for record in records))
+    replace_file(jsonl_path, "".join(json.dumps(record.to_json(), sort_keys=True) + "\n"
+                                     for record in records))
 
 
 def read_metrics_csv(csv_path) -> list[MetricsRecord]:
@@ -136,11 +137,10 @@ def domain_alignment(net: Network, target_set: LabeledDataset, class_map: ClassM
     return accuracy(net, target_set, mapping=class_map.map)
 
 
-def reprogramming_accuracy(net: Network, target_set: LabeledDataset, prog, mask: Mask,
+def reprogramming_accuracy(net: Network, target_set: LabeledDataset, offset: np.ndarray,
                            class_map: ClassMap, batch_size: int = 200) -> float:
-    """Mapped accuracy on perturbed target samples x + delta o M."""
-    return diagonal_accuracy(confusion_matrix(net, target_set, prog, mask, class_map,
-                                              batch_size))
+    """Mapped accuracy on perturbed target samples x + offset, where offset = delta o M."""
+    return diagonal_accuracy(confusion_matrix(net, target_set, offset, class_map, batch_size))
 
 
 def diagonal_accuracy(counts: np.ndarray) -> float:
@@ -162,8 +162,7 @@ def gradient_alignment(gradients) -> float:
     """r = ||mean g_i||_1 / mean ||g_i||_1 in [0, 1]; 0 when all gradients vanish."""
     if len(gradients) == 0:
         raise ConfigurationError("gradient_alignment needs at least one gradient")
-    arrays = [g.array if isinstance(g, Tensor) else np.asarray(g, dtype=np.float64)
-              for g in gradients]
+    arrays = [np.asarray(g, dtype=np.float64) for g in gradients]
     sum_grad = np.zeros_like(arrays[0])
     sum_norms = 0.0
     for arr in arrays:
@@ -178,28 +177,31 @@ def gradient_alignment(gradients) -> float:
 _CHUNK_ELEMENTS = 1 << 16
 
 
-def _input_gradients(net, images: np.ndarray, labels: np.ndarray, prog, mask: Mask,
+def _input_gradients(net, images: np.ndarray, labels: np.ndarray, offset: np.ndarray,
                      class_map: ClassMap) -> np.ndarray:
-    """Unmasked per-sample input gradients at x_i + delta o M; shape (n, *input).
+    """Unmasked per-sample input gradients at x_i + offset; shape (n, *input).
 
     One batched backward over the chunk ``images`` suffices: with the chunk's
     loss scaled by n, the input gradient at slot i is exactly the gradient of
     sample i's own loss.
     """
     x = Tensor(images, requires_grad=True)
-    pert = T.add(x, T.mul(Tensor(_delta_array(prog)), Tensor(mask.array)))
-    loss = T.scale(T.softmax_cross_entropy(net.forward(pert), class_map.apply(labels)),
-                   len(images))
+    loss = T.scale(T.softmax_cross_entropy(net.forward(T.add(x, Tensor(offset))),
+                                           class_map.apply(labels)), len(images))
     T.backward(loss)
     return x.grad if x.grad is not None else np.zeros_like(images)
 
 
-def _alignment_per_mask(net, dataset: LabeledDataset, prog, mask: Mask, masks: list[Mask],
-                        class_map: ClassMap) -> list[tuple[float, float]]:
-    """(r, ||g||_1) for each of ``masks``, from the input gradients at x + delta o M.
+def alignment_stats(net, dataset: LabeledDataset, offset: np.ndarray, masks: list[Mask],
+                    class_map: ClassMap) -> list[tuple[float, float]]:
+    """(r, ||g||_1) for each of ``masks``, from the input gradients at x + offset.
 
-    The gradients come in chunks of about _CHUNK_ELEMENTS input elements; each
-    mask's gradient sum and norm sum accumulate over the chunks.
+    A program enters as its offset delta o M. At the zero program the offset
+    is zero for every mask, so all masks share one input gradient per chunk
+    and each selects its own coordinates; an optimized program passes its
+    offset with its one mask. The gradients come in chunks of about
+    _CHUNK_ELEMENTS input elements; each mask's gradient sum and norm sum
+    accumulate over the chunks.
     """
     images = dataset.images.array
     chunk = max(1, _CHUNK_ELEMENTS // int(np.prod(images.shape[1:])))
@@ -207,7 +209,7 @@ def _alignment_per_mask(net, dataset: LabeledDataset, prog, mask: Mask, masks: l
     sum_norms = [0.0] * len(masks)
     for start in range(0, len(dataset), chunk):
         rows = slice(start, start + chunk)
-        raw = _input_gradients(net, images[rows], dataset.labels[rows], prog, mask, class_map)
+        raw = _input_gradients(net, images[rows], dataset.labels[rows], offset, class_map)
         for i, m in enumerate(masks):
             grads = raw * m.array
             sum_grads[i] += grads.sum(axis=0)
@@ -215,25 +217,6 @@ def _alignment_per_mask(net, dataset: LabeledDataset, prog, mask: Mask, masks: l
     count = len(dataset)
     return [(_alignment_ratio(sum_grad, sum_norm, count), float(np.abs(sum_grad / count).sum()))
             for sum_grad, sum_norm in zip(sum_grads, sum_norms)]
-
-
-def alignment_stats(net, dataset: LabeledDataset, prog, mask: Mask,
-                    class_map: ClassMap) -> tuple[float, float]:
-    """(r, ||g||_1) of masked per-sample gradients over a dataset, streamed."""
-    return _alignment_per_mask(net, dataset, prog, mask, [mask], class_map)[0]
-
-
-def zero_program_alignment(net, dataset: LabeledDataset, masks: list[Mask],
-                           class_map: ClassMap) -> list[tuple[float, float]]:
-    """(r0, ||g||_1) at the zero program for each mask, from one backward per chunk.
-
-    At delta = 0 the perturbed input x + 0 o M is x for every mask, so all masks
-    share one input gradient per chunk of about _CHUNK_ELEMENTS input elements,
-    and each mask only selects its coordinates. Entry i equals
-    alignment_stats(net, dataset, zeros, masks[i], ...) exactly.
-    """
-    zero = np.zeros(masks[0].array.shape)
-    return _alignment_per_mask(net, dataset, zero, masks[0], masks, class_map)
 
 
 # -- first-order loss predictors ------------------------------------------------------
@@ -247,7 +230,7 @@ def predicted_loss_drop(g, p, epsilon: float = 1.0) -> float:
     """
     if epsilon < 0:
         raise ConfigurationError(f"epsilon must be >= 0, got {epsilon}")
-    arr = g.array if isinstance(g, Tensor) else np.asarray(g, dtype=np.float64)
+    arr = np.asarray(g, dtype=np.float64)
     if p == 1:
         norm = float(np.abs(arr).max(initial=0.0))
     elif p == 2:
@@ -262,16 +245,16 @@ def predicted_loss_drop(g, p, epsilon: float = 1.0) -> float:
 # -- confusion matrices ----------------------------------------------------------------
 
 
-def confusion_matrix(net: Network, target_set: LabeledDataset, prog, mask: Mask,
+def confusion_matrix(net: Network, target_set: LabeledDataset, offset: np.ndarray | None,
                      class_map: ClassMap, batch_size: int = 200) -> np.ndarray:
     """Counts of true target class vs predicted class pulled back through the map.
 
     Shape (num_target, num_target + 1): predictions outside the map's image
-    fall into the trailing "other" column. ``prog=None`` evaluates the zero
-    program (the domain-alignment condition).
+    fall into the trailing "other" column. Samples are x + offset, where
+    offset = delta o M; ``offset=None`` evaluates the zero program (the
+    domain-alignment condition).
     """
     k = target_set.num_classes
-    offset = None if prog is None else _delta_array(prog) * mask.array
     chunks = _predict_chunks(net, target_set.images.array, offset, batch_size)
     pred = np.concatenate([chunk_pred for _, chunk_pred, _ in chunks])
     # The map is injective, so each prediction matches at most one target class.

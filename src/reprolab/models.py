@@ -416,14 +416,14 @@ def train_sgd(net: Network, ds: LabeledDataset, cfg: TrainConfig) -> tuple[Netwo
     return net, history
 
 
-def predict_batch(net: Network, images, offset=None) -> tuple[np.ndarray, np.ndarray]:
+def predict_batch(net: Network, images: np.ndarray,
+                  offset: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Argmax predictions (ties: lowest class index) and raw logits of images + offset.
 
     The one graph-free forward: forward_framed with ``offset`` (C, H, W),
     zero when None, so a Network shares the frame around the images across
     the batch; other models run ``forward``.
     """
-    images = images.array if isinstance(images, Tensor) else np.asarray(images)
     offset = np.zeros(images.shape[1:]) if offset is None else offset
     with no_grad():
         logits = forward_framed(net, images, Tensor(offset)).array

@@ -25,22 +25,17 @@ from .tensor import Tensor, load_tensor, save_tensor, write_json
 
 @dataclass
 class Mask:
-    """Binary tensor selecting the perturbable region; size() is its L1 norm."""
+    """Binary array selecting the perturbable region; size() is its L1 norm."""
 
-    values: Tensor
+    array: np.ndarray
     spec: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        arr = self.values.array
-        if not np.isin(arr, (0.0, 1.0)).all():
+        if not np.isin(self.array, (0.0, 1.0)).all():
             raise ConfigurationError("mask entries must be 0 or 1")
 
     def size(self) -> int:
-        return int(self.values.array.sum())
-
-    @property
-    def array(self) -> np.ndarray:
-        return self.values.array
+        return int(self.array.sum())
 
 
 @dataclass
@@ -70,7 +65,7 @@ class Program:
     ``delta`` the perturbation achieving it.
     """
 
-    delta: Tensor
+    delta: np.ndarray
     best_loss: float = float("inf")
     history: list[float] = field(default_factory=list)
 
@@ -123,7 +118,7 @@ def build_frame_mask(input_shape: tuple[int, int, int], inner_size: tuple[int, i
         keep[:, orow : orow + outer_size, ocol : ocol + outer_size] = 1.0
         arr *= keep
     return Mask(
-        values=Tensor(arr),
+        array=arr,
         spec={"input_shape": list(input_shape), "inner_size": list(inner_size),
               "outer_size": outer_size},
     )
@@ -150,19 +145,9 @@ def build_class_map(num_target_classes: int, spec="first-ten",
     return ClassMap(map=mapping)
 
 
-def _delta_array(prog) -> np.ndarray:
-    if isinstance(prog, Program):
-        return prog.delta.array
-    if isinstance(prog, Tensor):
-        return prog.array
-    return np.asarray(prog, dtype=np.float64)
-
-
-def box_project(delta):
-    """Elementwise clamp to [-1, 1]; preserves the input's type."""
-    if isinstance(delta, Tensor):
-        return Tensor(np.clip(delta.array, -1.0, 1.0))
-    return np.clip(np.asarray(delta, dtype=np.float64), -1.0, 1.0)
+def box_project(delta: np.ndarray) -> np.ndarray:
+    """Elementwise clamp to [-1, 1]."""
+    return np.clip(delta, -1.0, 1.0)
 
 
 def _mean_loss(net, images: np.ndarray, offset, mapped: np.ndarray, loss_fn=None) -> float:
@@ -175,10 +160,10 @@ def _mean_loss(net, images: np.ndarray, offset, mapped: np.ndarray, loss_fn=None
     return total / len(images)
 
 
-def reprogramming_loss(net, images, labels, prog, mask: Mask, class_map: ClassMap) -> float:
+def reprogramming_loss(net, images: np.ndarray, labels: np.ndarray, delta: np.ndarray,
+                       mask: Mask, class_map: ClassMap) -> float:
     """Mean cross-entropy of perturbed samples against their mapped source labels."""
-    images = images.array if isinstance(images, Tensor) else np.asarray(images, dtype=np.float64)
-    return _mean_loss(net, images, _delta_array(prog) * mask.array, class_map.apply(labels))
+    return _mean_loss(net, images, delta * mask.array, class_map.apply(labels))
 
 
 def _evaluation_set(opt_set: LabeledDataset, eval_set: LabeledDataset,
@@ -196,8 +181,8 @@ def zero_program_loss(net, opt_set: LabeledDataset, eval_set: LabeledDataset,
     return _mean_loss(net, eval_ds.images.array, None, class_map.apply(eval_ds.labels), loss_fn)
 
 
-def average_masked_gradient(net, images, labels, prog, mask: Mask, class_map: ClassMap,
-                            loss_fn=None) -> Tensor:
+def average_masked_gradient(net, images: np.ndarray, labels: np.ndarray, delta: np.ndarray,
+                            mask: Mask, class_map: ClassMap, loss_fn=None) -> np.ndarray:
     """(1/B) sum of per-sample input gradients at x_i + delta o M, masked.
 
     Computed as the gradient of the mean batch loss with respect to delta,
@@ -205,18 +190,16 @@ def average_masked_gradient(net, images, labels, prog, mask: Mask, class_map: Cl
     forward shares the frame across the batch (models.forward_framed), so the
     backward sums the batch's cotangents on the shared region and runs once.
     """
-    if len(np.asarray(labels)) == 0:
+    if len(labels) == 0:
         raise ConfigurationError("average_masked_gradient needs a nonempty batch")
     loss_fn = loss_fn or T.softmax_cross_entropy
-    delta_t = Tensor(_delta_array(prog), requires_grad=True)
-    x = images.array if isinstance(images, Tensor) else np.asarray(images, dtype=np.float64)
-    logits = forward_framed(net, x, T.mul(delta_t, Tensor(mask.array)))
+    delta_t = Tensor(delta, requires_grad=True)
+    logits = forward_framed(net, images, T.mul(delta_t, Tensor(mask.array)))
     loss = loss_fn(logits, class_map.apply(labels))
     if not np.isfinite(loss.item()):
         raise NumericError("non-finite loss while computing the average input gradient")
     T.backward(loss)
-    grad = delta_t.grad if delta_t.grad is not None else np.zeros_like(delta_t.array)
-    return Tensor(grad)
+    return delta_t.grad if delta_t.grad is not None else np.zeros_like(delta)
 
 
 def optimize_program(net, opt_set: LabeledDataset, eval_set: LabeledDataset, mask: Mask,
@@ -258,7 +241,7 @@ def optimize_program(net, opt_set: LabeledDataset, eval_set: LabeledDataset, mas
             g = average_masked_gradient(
                 net, opt_images[idx], opt_set.labels[idx], delta, mask, class_map, loss_fn
             )
-            delta = np.clip(delta - cfg.eta * np.sign(g.array), -1.0, 1.0)
+            delta = np.clip(delta - cfg.eta * np.sign(g), -1.0, 1.0)
             if step_callback is not None:
                 step_callback(epoch, batch_index, delta.copy())
         epoch_loss = _mean_loss(net, eval_ds.images.array, delta * mask_arr, mapped_eval,
@@ -270,7 +253,7 @@ def optimize_program(net, opt_set: LabeledDataset, eval_set: LabeledDataset, mas
             best_loss = epoch_loss
             best_delta = delta.copy()
 
-    return Program(delta=Tensor(best_delta), best_loss=best_loss, history=history)
+    return Program(delta=best_delta, best_loss=best_loss, history=history)
 
 
 def merge_zero_program(initial_loss: float, best_epoch: Program) -> Program:
@@ -286,26 +269,25 @@ def merge_zero_program(initial_loss: float, best_epoch: Program) -> Program:
     history = [initial_loss, *best_epoch.history[1:]]
     if best_epoch.best_loss < initial_loss:
         return Program(delta=best_epoch.delta, best_loss=best_epoch.best_loss, history=history)
-    return Program(delta=Tensor(np.zeros(best_epoch.delta.shape)), best_loss=initial_loss,
+    return Program(delta=np.zeros(best_epoch.delta.shape), best_loss=initial_loss,
                    history=history)
 
 
 # -- checkpointing -----------------------------------------------------------------
 
 
-def save_program(prog: Program, directory, mask: Mask | None = None,
-                 class_map: ClassMap | None = None, cfg: ReprogramConfig | None = None,
-                 extra: dict | None = None) -> None:
+def save_program(prog: Program, directory, mask: Mask, class_map: ClassMap,
+                 cfg: ReprogramConfig, extra: dict | None = None) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    save_tensor(prog.delta, directory / "delta.tnsr")
+    save_tensor(Tensor(prog.delta), directory / "delta.tnsr")
     sidecar = {
         "format": "reprolab-program-v1",
         "best_loss": prog.best_loss,
         "history": prog.history,
-        "mask": mask.spec if mask is not None else None,
-        "class_map": [int(v) for v in class_map.map] if class_map is not None else None,
-        "config": vars(cfg) if cfg is not None else None,
+        "mask": mask.spec,
+        "class_map": [int(v) for v in class_map.map],
+        "config": vars(cfg),
     }
     if extra:
         sidecar.update(extra)
@@ -316,7 +298,7 @@ def load_program(directory) -> tuple[Program, dict]:
     directory = Path(directory)
     sidecar = json.loads((directory / "program.json").read_text())
     prog = Program(
-        delta=load_tensor(directory / "delta.tnsr"),
+        delta=load_tensor(directory / "delta.tnsr").array,
         best_loss=sidecar["best_loss"],
         history=list(sidecar["history"]),
     )

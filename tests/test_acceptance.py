@@ -279,7 +279,7 @@ def test_criterion_02_linear_model_exactness():
                                 np.zeros((1, 12, 12)), mask, cm, loss_fn=_mean_logit)
     predicted = predicted_loss_drop(g, np.inf, 1.0)
     achieved = prog.best_loss - prog.history[0]
-    sign_exact = np.array_equal(prog.delta.array * mask.array, -np.sign(g.array) * mask.array)
+    sign_exact = np.array_equal(prog.delta * mask.array, -np.sign(g) * mask.array)
     ok = abs(achieved - predicted) < 1e-9 and sign_exact
     _criterion(2, "linear-model loss drop equals -||g||_1; delta saturates at -sign(g)",
                ok, f"|achieved-predicted|={abs(achieved - predicted):.2e}")
@@ -343,7 +343,7 @@ def test_criterion_05_optimizer_contract():
 
     zero_cfg = ReprogramConfig(eta=0.005, epochs=0, batch_size=10, seed=1)
     zero_prog = optimize_program(net, ds, ds, mask, cm, zero_cfg)
-    zero_ok = np.array_equal(zero_prog.delta.array, np.zeros((3, 16, 16))) and \
+    zero_ok = np.array_equal(zero_prog.delta, np.zeros((3, 16, 16))) and \
         zero_prog.history == [zero_prog.best_loss]
 
     cfg = ReprogramConfig(eta=0.3, epochs=4, batch_size=10, seed=9)
@@ -364,7 +364,7 @@ def test_criterion_05_optimizer_contract():
     batch0 = make_batches(ds, 10, cfg.seed, 0)[0]
     g0 = average_masked_gradient(net, ds.images.array[batch0], ds.labels[batch0],
                                  np.zeros((3, 16, 16)), mask, cm)
-    first_ok = np.array_equal(snapshots[0][2], box_project(-cfg.eta * np.sign(g0.array)))
+    first_ok = np.array_equal(snapshots[0][2], box_project(-cfg.eta * np.sign(g0)))
     ok = zero_ok and not violations and first_ok and prog.best_loss == min(prog.history)
     _criterion(5, "optimizer: best=min(history), box+mask at every step, N=0 and "
                "first-step contracts", ok,
@@ -436,10 +436,10 @@ def test_criterion_09_domain_alignment_behavior(big_run):
     metrics_set = preprocess(metrics_raw, pad)
     mask = build_frame_mask(INPUT_SHAPE, INNER)
     cm = build_class_map(10, "first-ten", 10)
-    counts = confusion_matrix(net, metrics_set, None, mask, cm)
+    counts = confusion_matrix(net, metrics_set, None, cm)
     majority = counts.sum(axis=0).max() / counts.sum()
     da = domain_alignment(net, metrics_set, cm)
-    ra0 = reprogramming_accuracy(net, metrics_set, np.zeros(mask.array.shape), mask, cm)
+    ra0 = reprogramming_accuracy(net, metrics_set, np.zeros(mask.array.shape), cm)
     ok = majority >= 0.50 and ra0 == da
     _criterion(9, "zero-program confusion concentrates (majority column >= 50%); "
                "RA(0) == DA bitwise", ok,

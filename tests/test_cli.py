@@ -42,7 +42,7 @@ from reprolab.reprogram import (
     reprogramming_loss,
     save_program,
 )
-from reprolab.tensor import Tensor, replace_file
+from reprolab.tensor import replace_file
 
 
 def _tiny_config(out, seed=3) -> ExperimentConfig:
@@ -262,13 +262,14 @@ class TestSweepCommand:
         for size, record in zip(cfg.mask_outer_sizes, records):
             mask = build_frame_mask((3, 16, 16), (8, 8), size)
             prog, _ = load_program(tmp_path / "sweep" / f"mask_{size}" / "program")
-            r0, g_l1 = alignment_stats(net, eval_set, zero, mask, cm)
-            rn, _ = alignment_stats(net, eval_set, prog, mask, cm)
+            offset = prog.delta * mask.array
+            [(r0, g_l1)] = alignment_stats(net, eval_set, zero, [mask], cm)
+            [(rn, _)] = alignment_stats(net, eval_set, offset, [mask], cm)
             assert (record.da, record.ra, record.r0, record.rn, record.g_l1) == (
                 domain_alignment(net, metrics_set, cm),
-                reprogramming_accuracy(net, metrics_set, prog, mask, cm), r0, rn, g_l1)
+                reprogramming_accuracy(net, metrics_set, offset, cm), r0, rn, g_l1)
             assert prog.history[0] == reprogramming_loss(
-                net, eval_set.images, eval_set.labels, zero, mask, cm)
+                net, eval_set.images.array, eval_set.labels, zero, mask, cm)
 
     def test_parallel_same_bytes_on_the_framed_path(self, tmp_path):
         # At 16x16 the grown image window reaches the border and every forward
@@ -298,6 +299,15 @@ class TestSweepCommand:
             cmd_sweep(cfg, pipeline["model_dir"], tmp_path / "s", jobs=2)
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_rejected(self, pipeline, tmp_path, capsys, jobs):
+        cfg_path = _write_config(_tiny_config(tmp_path / "runs"), tmp_path / "cfg.yaml")
+        argv = ["sweep", "--config", str(cfg_path), "--model", str(pipeline["model_dir"]),
+                "--jobs", jobs]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
+        assert not (tmp_path / "runs").exists()
+
 
 SIZES = [10, 12, 16]
 
@@ -318,6 +328,12 @@ def _blas_threads() -> int:
 
 def _mask_outer(mask) -> int:
     return mask.spec["outer_size"]
+
+
+def _post_call_of(masks, outer_size) -> bool:
+    """Whether an alignment_stats call with ``masks`` is the post stage of that mask:
+    a sweep's zero-program task passes all its masks, a post stage its one mask."""
+    return len(masks) == 1 and _mask_outer(masks[0]) == outer_size
 
 
 class TestSweepTaskGraph:
@@ -359,10 +375,10 @@ class TestSweepTaskGraph:
                                                     monkeypatch):
         original = cli.alignment_stats
 
-        def failing(net, dataset, prog, mask, *args, **kwargs):
-            if _mask_outer(mask) == 12:
+        def failing(net, dataset, offset, masks, *args, **kwargs):
+            if _post_call_of(masks, 12):
                 raise RuntimeError("injected post-stage failure")
-            return original(net, dataset, prog, mask, *args, **kwargs)
+            return original(net, dataset, offset, masks, *args, **kwargs)
 
         monkeypatch.setattr(cli, "alignment_stats", failing)
         out = tmp_path / "sweep"
@@ -418,10 +434,10 @@ class TestSweepTaskGraph:
                 fh.write(f"{_mask_outer(mask)}\n")
             return optimize(net, opt_set, eval_set, mask, *args, **kwargs)
 
-        def dying(net, dataset, prog, mask, *args, **kwargs):
-            if _mask_outer(mask) == 12:
+        def dying(net, dataset, offset, masks, *args, **kwargs):
+            if _post_call_of(masks, 12):
                 os._exit(1)
-            return align(net, dataset, prog, mask, *args, **kwargs)
+            return align(net, dataset, offset, masks, *args, **kwargs)
 
         monkeypatch.setattr(cli, "optimize_program", logged)
         monkeypatch.setattr(cli, "alignment_stats", dying)
@@ -487,6 +503,17 @@ class TestCorrelateCommand:
         captured = capsys.readouterr()
         assert captured.err == "error: seed must be a non-negative integer, got -3\n"
         assert captured.out == ""
+
+    def test_no_method_rejected(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        self._write_rows(path)
+        argv = ["correlate", "--metrics", str(path), "--x", "RA", "--y", "rN", "--methods", ",",
+                "--out", str(tmp_path / "corr")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: no correlation method given\n"
+        assert captured.out == ""
+        assert not (tmp_path / "corr").exists()
 
     def test_positive_relation_detected(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -573,6 +600,8 @@ class TestMainEntry:
     @pytest.mark.parametrize("edit, message", [
         (lambda line: line.rsplit(",", 3)[0], "line 3: 9 fields, expected 12"),
         (lambda line: line.replace(",0.5,", ",abc,", 1), "line 3: could not convert"),
+        (lambda line: line.replace(",true,", ",True,", 1),
+         "line 3: trained must be true or false, got 'True'"),
     ])
     def test_malformed_metrics_row(self, tmp_path, capsys, edit, message):
         path = tmp_path / "m.csv"
@@ -687,7 +716,7 @@ class TestConfigValues:
             "seed": 5, "out": "runs/idx",
             "source": {"kind": "idx", "name": "digits", "images": "data/train-images.idx",
                        "labels": "data/train-labels.idx", "test_images": None,
-                       "test_labels": "data/test-labels.idx", "image_size": [12, 12]},
+                       "test_labels": None, "image_size": [12, 12]},
             "target": {"kind": "synthetic", "family": "strokes", "num_classes": 4,
                        "per_class": 40, "test_per_class": 7, "image_size": [10, 10],
                        "noise_amplitude": 12.5, "max_shift": 1},
@@ -702,7 +731,7 @@ class TestConfigValues:
             "mask_outer_size": 18,
             "mask_outer_sizes": [14, 18, 20],
         })
-        assert config_hash(idx) == "7d42faa942ff75cd"
+        assert config_hash(idx) == "5e91a30e3208e7c5"
 
 
 def _idx_spec(root: Path, seed: int, name: str, test: bool) -> DatasetSpec:
@@ -742,6 +771,16 @@ class TestIdxDatasets:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "no test IDX files configured" in err
 
+    @pytest.mark.parametrize("missing", ["test_images", "test_labels"])
+    def test_source_with_one_test_file_rejected(self, tmp_path, capsys, missing):
+        cfg = _tiny_config(tmp_path / "runs")
+        cfg.source = _idx_spec(tmp_path, 5, "source", test=True)
+        cfg_path = _write_config(cfg, tmp_path / "cfg.yaml", **{f"source__{missing}": None})
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == \
+            "error: idx datasets need both 'test_images' and 'test_labels' paths, or neither\n"
+        assert not (tmp_path / "runs").exists()
+
 
 class TestAtomicWrites:
     def test_text_and_bytes_written_exactly(self, tmp_path):
@@ -771,8 +810,9 @@ class TestAtomicWrites:
             raise OSError("rename refused")
 
         monkeypatch.setattr(os, "replace", refuse)
-        for save in (lambda: save_program(Program(Tensor(np.ones((3, 16, 16))), 0.0, [0.0]),
-                                          out / "program"),
+        mask, cm = build_frame_mask((3, 16, 16), (8, 8)), build_class_map(10)
+        for save in (lambda: save_program(Program(np.ones((3, 16, 16)), 0.0, [0.0]),
+                                          out / "program", mask, cm, ReprogramConfig()),
                      lambda: save_confusion_csv(np.eye(10, 11, dtype=np.int64),
                                                 out / "confusion_after.csv")):
             with pytest.raises(OSError, match="rename refused"):

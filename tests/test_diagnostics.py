@@ -22,7 +22,6 @@ from reprolab.diagnostics import (
     predicted_loss_drop,
     read_metrics_csv,
     reprogramming_accuracy,
-    zero_program_alignment,
 )
 from reprolab.errors import ConfigurationError
 from reprolab.models import build_cwnet, init_weights
@@ -78,7 +77,7 @@ class TestDomainAlignment:
     def test_equals_reprogramming_accuracy_at_zero(self, small_net):
         ds, mask, cm = _setup(n=30)
         da = domain_alignment(small_net, ds, cm)
-        ra0 = reprogramming_accuracy(small_net, ds, np.zeros((3, 16, 16)), mask, cm)
+        ra0 = reprogramming_accuracy(small_net, ds, np.zeros((3, 16, 16)), cm)
         assert da == ra0
 
 
@@ -87,7 +86,7 @@ class TestReprogrammingAccuracy:
         ds, _, cm = _setup(n=30, seed=3)
         degenerate = build_frame_mask((3, 16, 16), (16, 16))
         delta = rng.uniform(-1, 1, (3, 16, 16))
-        assert reprogramming_accuracy(small_net, ds, delta, degenerate, cm) == \
+        assert reprogramming_accuracy(small_net, ds, delta * degenerate.array, cm) == \
             domain_alignment(small_net, ds, cm)
 
     def test_hand_constructed_flip_reaches_one(self):
@@ -108,7 +107,7 @@ class TestReprogrammingAccuracy:
 
         mask_arr = np.ones((1, hw, hw))
         mask_arr[:, 2:6, 2:6] = 0.0
-        mask = Mask(values=Tensor(mask_arr))
+        mask = Mask(mask_arr)
         cm = build_class_map(2, [0, 1])
         da = domain_alignment(net, ds, cm)
         assert da == 0.5  # everything predicted class 0 at delta = 0
@@ -116,7 +115,7 @@ class TestReprogrammingAccuracy:
         total_inner1 = 16 * a
         target_shift = -(total_inner0 + total_inner1) / 2.0
         delta = np.full((1, hw, hw), target_shift / mask.size())
-        ra = reprogramming_accuracy(net, ds, delta, mask, cm)
+        ra = reprogramming_accuracy(net, ds, delta * mask.array, cm)
         assert ra == 1.0
 
 
@@ -148,10 +147,11 @@ class TestGradientAlignment:
     def test_per_sample_gradients_match_individual_backward(self, rng, small_net):
         ds, mask, cm = _setup(n=6, seed=2)
         delta = rng.uniform(-0.5, 0.5, (3, 16, 16))
-        batch = _input_gradients(small_net, ds.images.array, ds.labels, delta, mask, cm)
+        offset = delta * mask.array
+        batch = _input_gradients(small_net, ds.images.array, ds.labels, offset, cm)
         for i in range(len(ds)):
             single = _input_gradients(
-                small_net, ds.images.array[i : i + 1], ds.labels[i : i + 1], delta, mask, cm
+                small_net, ds.images.array[i : i + 1], ds.labels[i : i + 1], offset, cm
             )
             assert np.allclose(batch[i], single[0], atol=1e-11)
 
@@ -163,8 +163,8 @@ class TestZeroProgramAlignment:
         masks = [build_frame_mask((3, 32, 32), (16, 16), outer) for outer in (None, 18, 22, 26)]
         zero = np.zeros((3, 32, 32))
         # 300 samples in chunks of 21 leave a partial last chunk
-        shared = zero_program_alignment(net, ds, masks, cm)
-        assert shared == [alignment_stats(net, ds, zero, m, cm) for m in masks]
+        shared = alignment_stats(net, ds, zero, masks, cm)
+        assert shared == [alignment_stats(net, ds, zero, [m], cm)[0] for m in masks]
         assert len(set(shared)) == len(masks)
 
 
@@ -174,11 +174,11 @@ class TestAlignmentChunks:
         elements = int(np.prod(ds.images.shape[1:]))
         assert len(ds) % (diagnostics._CHUNK_ELEMENTS // elements) != 0  # partial last chunk
         masks = [build_frame_mask((3, 16, 16), (8, 8), outer) for outer in (None, 10, 12)]
-        delta = rng.uniform(-0.5, 0.5, (3, 16, 16))
+        offset = rng.uniform(-0.5, 0.5, (3, 16, 16)) * mask.array
 
         def stats():
-            return [alignment_stats(small_net, ds, delta, mask, cm),
-                    *zero_program_alignment(small_net, ds, masks, cm)]
+            return [*alignment_stats(small_net, ds, offset, [mask], cm),
+                    *alignment_stats(small_net, ds, np.zeros((3, 16, 16)), masks, cm)]
 
         default = stats()
         for chunk_elements in (1, len(ds) * elements):
@@ -194,12 +194,12 @@ class TestAlignmentChunks:
         ds = preprocess(synth_target_dataset(4, per_class=5, size=inner), PadSpec(shape, inner))
         mask = build_frame_mask(shape, inner)
         cm = build_class_map(10, "first-ten")
-        delta = np.random.default_rng(4).uniform(-0.5, 0.5, shape)
+        offset = np.random.default_rng(4).uniform(-0.5, 0.5, shape) * mask.array
 
         def peak(subset):
             tracemalloc.start()
             try:
-                alignment_stats(net, subset, delta, mask, cm)
+                alignment_stats(net, subset, offset, [mask], cm)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -251,35 +251,30 @@ class TestConfusionMatrix:
         sel = np.zeros((hw, hw))
         sel[2:6, 2:6] = 1.0
         net = LinearLogitsModel(np.stack([sel.ravel(), -sel.ravel()], axis=1))
-        mask_arr = np.ones((1, hw, hw))
-        mask_arr[:, 2:6, 2:6] = 0.0
-        from reprolab.reprogram import Mask
-
-        counts = confusion_matrix(net, ds, None, Mask(values=Tensor(mask_arr)),
-                                  build_class_map(2, [0, 1]))
+        counts = confusion_matrix(net, ds, None, build_class_map(2, [0, 1]))
         assert counts.shape == (2, 3)
         assert counts[0, 0] == 10 and counts[1, 1] == 10
         assert counts.sum() == 20 and counts[:, 2].sum() == 0
 
     def test_constant_predictor_single_column(self, small_net):
-        ds, mask, cm = _setup(n=30, seed=8)
+        ds, _, cm = _setup(n=30, seed=8)
         zero_net = build_cwnet((3, 16, 16), width_scale=0.25)
-        counts = confusion_matrix(zero_net, ds, None, mask, cm)
+        counts = confusion_matrix(zero_net, ds, None, cm)
         nonzero_columns = (counts.sum(axis=0) > 0).sum()
         assert nonzero_columns == 1
         assert counts[:, 0].sum() == len(ds)
 
     def test_row_sums_are_class_counts(self, small_net):
-        ds, mask, cm = _setup(n=40, seed=9)
-        counts = confusion_matrix(small_net, ds, None, mask, cm)
+        ds, _, cm = _setup(n=40, seed=9)
+        counts = confusion_matrix(small_net, ds, None, cm)
         class_counts = np.bincount(ds.labels, minlength=10)
         assert np.array_equal(counts.sum(axis=1), class_counts)
 
     def test_other_column_collects_unmapped(self, small_net):
-        ds, mask, _ = _setup(n=30, seed=10)
+        ds, _, _ = _setup(n=30, seed=10)
         ds = LabeledDataset(ds.images, ds.labels % 3, 3)
         cm = build_class_map(3, [0, 1, 2])  # predictions 3..9 fall into "other"
-        counts = confusion_matrix(small_net, ds, None, mask, cm)
+        counts = confusion_matrix(small_net, ds, None, cm)
         assert counts.shape == (3, 4)
         assert counts.sum() == len(ds)
 
@@ -289,11 +284,11 @@ class TestDiagonalAccuracy:
         net, ds = trained_toy["net"], trained_toy["test"]  # 300 samples: two chunks
         mask = build_frame_mask((3, 32, 32), (16, 16))
         cm = build_class_map(10, [3, 1, 4, 0, 5, 9, 2, 6, 8, 7])
-        delta = rng.uniform(-1, 1, (3, 32, 32))
-        before = confusion_matrix(net, ds, None, mask, cm)
-        after = confusion_matrix(net, ds, delta, mask, cm)
+        offset = rng.uniform(-1, 1, (3, 32, 32)) * mask.array
+        before = confusion_matrix(net, ds, None, cm)
+        after = confusion_matrix(net, ds, offset, cm)
         assert diagonal_accuracy(before) == domain_alignment(net, ds, cm)
-        assert diagonal_accuracy(after) == reprogramming_accuracy(net, ds, delta, mask, cm)
+        assert diagonal_accuracy(after) == reprogramming_accuracy(net, ds, offset, cm)
         assert diagonal_accuracy(before) != diagonal_accuracy(after)
 
 

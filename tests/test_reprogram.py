@@ -86,7 +86,7 @@ class TestFrameMask:
 
     def test_mask_rejects_non_binary(self):
         with pytest.raises(ConfigurationError, match="0 or 1"):
-            Mask(values=Tensor(np.full((1, 2, 2), 0.5)))
+            Mask(np.full((1, 2, 2), 0.5))
 
 
 class TestClassMap:
@@ -141,14 +141,15 @@ class TestReprogrammingLoss:
         mask = build_frame_mask((3, 16, 16), (8, 8))
         cm = build_class_map(10, "first-ten")
         for delta in (np.zeros((3, 16, 16)), rng.uniform(-1, 1, (3, 16, 16))):
-            loss = reprogramming_loss(net, ds.images, ds.labels, delta, mask, cm)
+            loss = reprogramming_loss(net, ds.images.array, ds.labels, delta, mask, cm)
             assert abs(loss - np.log(10.0)) < 1e-12
 
     def test_zero_delta_equals_plain_loss(self, small_net):
         ds = _padded_target()
         mask = build_frame_mask((3, 16, 16), (8, 8))
         cm = build_class_map(10, "first-ten")
-        got = reprogramming_loss(small_net, ds.images, ds.labels, np.zeros((3, 16, 16)), mask, cm)
+        got = reprogramming_loss(small_net, ds.images.array, ds.labels, np.zeros((3, 16, 16)),
+                                 mask, cm)
         with T.no_grad():
             plain = T.softmax_cross_entropy(small_net.forward(ds.images), ds.labels).item()
         assert got == pytest.approx(plain, abs=1e-12)
@@ -158,7 +159,7 @@ class TestReprogrammingLoss:
         mask = build_frame_mask((3, 16, 16), (8, 8))
         cm = build_class_map(10, list(rng.permutation(10)))
         delta = box_project(rng.normal(0, 0.5, (3, 16, 16)))
-        got = reprogramming_loss(small_net, ds.images, ds.labels, delta, mask, cm)
+        got = reprogramming_loss(small_net, ds.images.array, ds.labels, delta, mask, cm)
         per_sample = []
         with T.no_grad():
             for i in range(len(ds)):
@@ -176,7 +177,7 @@ class TestAverageMaskedGradient:
         cm = build_class_map(10, "first-ten")
         g = average_masked_gradient(small_net, ds.images.array, ds.labels,
                                     np.zeros((3, 16, 16)), mask, cm)
-        assert np.array_equal(g.array, np.zeros((3, 16, 16)))
+        assert np.array_equal(g, np.zeros((3, 16, 16)))
 
     def test_linear_model_gradient_is_masked_weights(self, rng):
         w = rng.normal(0, 1, (3, 16, 16))
@@ -186,14 +187,14 @@ class TestAverageMaskedGradient:
         cm = build_class_map(10, "first-ten")
         g = average_masked_gradient(model, ds.images.array, ds.labels,
                                     np.zeros((3, 16, 16)), mask, cm, loss_fn=mean_logit_loss)
-        assert np.allclose(g.array, w * mask.array, atol=1e-12)
+        assert np.allclose(g, w * mask.array, atol=1e-12)
 
     def test_matches_finite_differences_of_loss(self, rng, small_net):
         ds = _padded_target(n=6)
         mask = build_frame_mask((3, 16, 16), (8, 8))
         cm = build_class_map(10, "first-ten")
         delta0 = box_project(rng.normal(0, 0.2, (3, 16, 16)))
-        g = average_masked_gradient(small_net, ds.images.array, ds.labels, delta0, mask, cm).array
+        g = average_masked_gradient(small_net, ds.images.array, ds.labels, delta0, mask, cm)
 
         h = 1e-5
         worst = 0.0
@@ -203,8 +204,8 @@ class TestAverageMaskedGradient:
                 dplus, dminus = delta0.copy(), delta0.copy()
                 dplus[ch, i, j] += h
                 dminus[ch, i, j] -= h
-                hi = reprogramming_loss(small_net, ds.images, ds.labels, dplus, mask, cm)
-                lo = reprogramming_loss(small_net, ds.images, ds.labels, dminus, mask, cm)
+                hi = reprogramming_loss(small_net, ds.images.array, ds.labels, dplus, mask, cm)
+                lo = reprogramming_loss(small_net, ds.images.array, ds.labels, dminus, mask, cm)
                 central = (hi - lo) / (2 * h)
                 worst = max(worst, abs(g[ch, i, j] - central) / max(1.0, abs(central)))
         assert worst < 1e-4
@@ -234,8 +235,8 @@ class TestOptimizeProgram:
         cm = build_class_map(10, "first-ten")
         cfg = ReprogramConfig(eta=0.005, epochs=0, batch_size=10, seed=3)
         prog = optimize_program(small_net, ds, ds, mask, cm, cfg)
-        assert np.array_equal(prog.delta.array, np.zeros((3, 16, 16)))
-        initial = reprogramming_loss(small_net, ds.images, ds.labels,
+        assert np.array_equal(prog.delta, np.zeros((3, 16, 16)))
+        initial = reprogramming_loss(small_net, ds.images.array, ds.labels,
                                      np.zeros((3, 16, 16)), mask, cm)
         assert prog.best_loss == pytest.approx(initial, abs=1e-12)
         assert prog.history == [prog.best_loss]
@@ -253,7 +254,7 @@ class TestOptimizeProgram:
         batch0 = make_batches(ds, 10, cfg.seed, 0)[0]
         g0 = average_masked_gradient(small_net, ds.images.array[batch0], ds.labels[batch0],
                                      np.zeros((3, 16, 16)), mask, cm)
-        expected = box_project(-cfg.eta * np.sign(g0.array))
+        expected = box_project(-cfg.eta * np.sign(g0))
         assert np.array_equal(seen[0][2], expected)
 
     def test_box_and_mask_respected_every_iteration(self, small_net):
@@ -267,7 +268,7 @@ class TestOptimizeProgram:
             assert (delta[mask.array == 0] == 0).all()
 
         prog = optimize_program(small_net, ds, ds, mask, cm, cfg, step_callback=check)
-        assert (prog.delta.array[mask.array == 0] == 0).all()
+        assert (prog.delta[mask.array == 0] == 0).all()
 
     def test_best_loss_is_min_of_history(self, small_net):
         ds = _padded_target(n=30, seed=6)
@@ -291,7 +292,7 @@ class TestOptimizeProgram:
                                       initial_loss=initial)
         assert alone.history[0] == initial
         assert given_loss.history == alone.history
-        assert np.array_equal(given_loss.delta.array, alone.delta.array)
+        assert np.array_equal(given_loss.delta, alone.delta)
 
     def test_determinism(self, small_net):
         ds = _padded_target(n=20, seed=7)
@@ -300,7 +301,7 @@ class TestOptimizeProgram:
         cfg = ReprogramConfig(eta=0.01, epochs=2, batch_size=10, seed=13)
         p1 = optimize_program(small_net, ds, ds, mask, cm, cfg)
         p2 = optimize_program(small_net, ds, ds, mask, cm, cfg)
-        assert np.array_equal(p1.delta.array, p2.delta.array)
+        assert np.array_equal(p1.delta, p2.delta)
         assert p1.history == p2.history
 
     def test_linear_model_saturates_to_negative_sign(self, rng):
@@ -310,7 +311,7 @@ class TestOptimizeProgram:
                               opt_set_size=len(ds), eval_set_size=len(ds), seed=1)
         prog = optimize_program(model, ds, ds, mask, cm, cfg, loss_fn=mean_logit_loss)
         expected = -np.sign(w * mask.array) * mask.array
-        assert np.array_equal(prog.delta.array * mask.array, expected)
+        assert np.array_equal(prog.delta * mask.array, expected)
         # achieved decrement equals -||g||_1 exactly (linear loss)
         g = w * mask.array
         drop = prog.best_loss - prog.history[0]
@@ -325,7 +326,7 @@ class TestOptimizeProgram:
         cfg = ReprogramConfig(eta=0.02, epochs=2, batch_size=10, seed=3)
         prog = optimize_program(small_net, opt, evl, mask, cm, cfg)
         assert prog.history[0] == pytest.approx(
-            reprogramming_loss(small_net, evl.images, evl.labels,
+            reprogramming_loss(small_net, evl.images.array, evl.labels,
                                np.zeros((3, 16, 16)), mask, cm), abs=1e-12)
 
 
@@ -358,11 +359,11 @@ class TestMergeZeroProgram:
         merged = merge_zero_program(initial, best_epoch)
         assert merged.history == direct.history
         assert merged.best_loss == direct.best_loss
-        assert merged.delta.array.tobytes() == direct.delta.array.tobytes()
+        assert merged.delta.tobytes() == direct.delta.tobytes()
         zero_wins = case != "epochs_win"
         assert merged.best_loss == (initial if zero_wins else best)
-        assert np.array_equal(merged.delta.array,
-                              np.zeros((3, 16, 16)) if zero_wins else best_epoch.delta.array)
+        assert np.array_equal(merged.delta,
+                              np.zeros((3, 16, 16)) if zero_wins else best_epoch.delta)
 
     def test_best_epoch_is_first_minimum(self, optimize):
         epoch_ends = {}
@@ -371,7 +372,7 @@ class TestMergeZeroProgram:
         first = losses.index(min(losses))
         assert prog.history[0] == math.inf and len(losses) == 4
         assert prog.best_loss == losses[first]
-        assert np.array_equal(prog.delta.array, epoch_ends[first])
+        assert np.array_equal(prog.delta, epoch_ends[first])
 
     def test_non_finite_zero_loss_rejected(self, optimize):
         with pytest.raises(NumericError):
@@ -382,14 +383,14 @@ class TestMergeZeroProgram:
 
 class TestProgramCheckpoint:
     def test_round_trip(self, tmp_path, rng):
-        prog = Program(delta=Tensor(rng.uniform(-1, 1, (3, 8, 8))), best_loss=1.25,
+        prog = Program(delta=rng.uniform(-1, 1, (3, 8, 8)), best_loss=1.25,
                        history=[2.0, 1.5, 1.25])
         mask = build_frame_mask((3, 8, 8), (4, 4))
         cm = build_class_map(10, "first-ten")
         cfg = ReprogramConfig(epochs=2)
         save_program(prog, tmp_path / "prog", mask=mask, class_map=cm, cfg=cfg)
         again, sidecar = load_program(tmp_path / "prog")
-        assert np.array_equal(again.delta.array, prog.delta.array)
+        assert np.array_equal(again.delta, prog.delta)
         assert again.best_loss == prog.best_loss
         assert again.history == prog.history
         assert sidecar["mask"]["inner_size"] == [4, 4]

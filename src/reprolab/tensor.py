@@ -7,8 +7,11 @@ output tensor; ``backward`` replays the recorded rules in reverse creation
 order, which is a fixed topological order of the graph, so gradient
 accumulation is deterministic.
 
-All arrays are C-contiguous float64. Tensors are immutable after creation
-except for their ``grad`` buffers.
+All arrays are C-contiguous float64, and operations never write to their
+inputs. ``backward`` fills ``grad`` buffers and consumes the graph it
+replays: it frees each interior node's gradient, rule and parent links as
+soon as the rule has run, so only leaves keep a ``grad`` and a graph is
+replayed at most once.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import FormatError, LabelError, NumericError, ShapeError
+from .errors import FormatError, LabelError, NumericError, ReproLabError, ShapeError
 
 # Every tensor gets a process-wide creation index; backward replays in its order.
 _node_ids = itertools.count()
@@ -347,6 +350,10 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
     wmats = [np.ascontiguousarray(wk[:, :, a, b]) for a in range(kh) for b in range(kw)]
     acc = np.empty((c_out, span))
     _offset_gemm(acc, wmats, grid, offsets, span)
+    # Only the weight gradient reads the padded input again.
+    weight_grad = kernels.requires_grad
+    if not weight_grad:
+        grid = None
     rows = (np.arange(n)[:, None] * hp + np.arange(0, h1, stride)[None, :]).ravel()
     acc3 = acc.reshape(c_out, n * hp - (kh - 1), wp)
     out_h, out_w = (h1 + stride - 1) // stride, (w1 + stride - 1) // stride
@@ -365,7 +372,7 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
             grad.transpose(1, 0, 2, 3)
         )
         gwin = gfull[:, :span]
-        if kernels.requires_grad:
+        if weight_grad:
             dw_flat = _offset_gemm_outer(gwin, grid, offsets, span, c_out, c_in)
             _accumulate(kernels, dw_flat.transpose(1, 2, 0).reshape(wk.shape), owned=False)
         if x.requires_grad:
@@ -486,11 +493,23 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 # -- backward pass ---------------------------------------------------------------
 
 
+def _replayed(grad: np.ndarray) -> None:
+    raise ReproLabError(
+        "backward reached a node whose graph an earlier backward already replayed and "
+        "freed; record the forward again to take another gradient"
+    )
+
+
 def backward(loss: Tensor) -> None:
     """Accumulate gradients of ``loss`` into every reachable requires_grad tensor.
 
     Nodes are replayed in reverse creation order (a fixed topological order of
     the recorded operations), so fan-out sums always reduce in the same order.
+    The replay consumes the graph: once an interior node's rule has run, the
+    node drops its grad, rule and parents, so the gradients and activations of
+    the layers already passed are freed while the replay walks toward the
+    inputs. Leaves (tensors without a rule) keep their ``grad``. A later
+    backward that reaches a replayed node raises ``ReproLabError``.
     """
     if loss.array.size != 1:
         raise ShapeError(f"backward() requires a scalar loss, got shape {loss.shape}")
@@ -505,12 +524,20 @@ def backward(loss: Tensor) -> None:
         seen.add(id(node))
         nodes.append(node)
         stack.extend(node._parents)
-    nodes.sort(key=lambda t: t._id, reverse=True)
+    # Ascending, so popping from the end replays in reverse creation order and
+    # takes each node off the work list as it goes.
+    nodes.sort(key=lambda t: t._id)
 
     loss.grad = np.ones_like(loss.array)
-    for node in nodes:
-        if node._backward_rule is not None and node.grad is not None:
+    while nodes:
+        node = nodes.pop()
+        if node._backward_rule is None:
+            continue
+        if node.grad is not None:
             node._backward_rule(node.grad)
+        node.grad = None
+        node._backward_rule = _replayed
+        node._parents = ()
 
 
 # -- gradient checking -------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: explicit loops, arbitrary precision,
 or exhaustive enumeration. None of it shares code with the package, except
-train_sgd_tape, which drives the network's own tape forward and backward.
+train_sgd_tape, which drives the network's own tape forward and backward, and
+backward_retaining, which replays the tape's own recorded rules.
 """
 
 import numpy as np
@@ -196,3 +197,26 @@ def train_sgd_tape(net, images: np.ndarray, labels: np.ndarray, epochs: int,
     for p in params:
         p.requires_grad = False
     return history
+
+
+def tape_nodes(loss) -> list:
+    """Every tensor reachable from ``loss`` through recorded parent links."""
+    nodes, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    return list(nodes.values())
+
+
+def backward_retaining(loss) -> None:
+    """tensor.backward's replay without its release.
+
+    The same nodes run their rules in the same order (reverse creation), but
+    every interior grad, rule and parent link stays alive until the end.
+    """
+    loss.grad = np.ones_like(loss.array)
+    for node in sorted(tape_nodes(loss), key=lambda t: t._id, reverse=True):
+        if node._backward_rule is not None and node.grad is not None:
+            node._backward_rule(node.grad)

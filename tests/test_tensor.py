@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import reprolab.tensor as T
-from reprolab.errors import FormatError, LabelError, ShapeError
+from reprolab.errors import FormatError, LabelError, ReproLabError, ShapeError
 from reprolab.tensor import (
     Tensor,
     backward,
@@ -209,6 +209,16 @@ class TestBackward:
         y = x + x  # d/dx = 2
         backward((y * y).sum())  # d/dx (2x)^2 = 8x
         assert np.allclose(x.grad, [16.0])
+
+    def test_second_backward_through_a_replayed_graph_raises(self):
+        x = Tensor([3.0], requires_grad=True)
+        y = x * x
+        z = y + y
+        backward(z.sum())
+        assert np.array_equal(x.grad, [12.0])
+        x.zero_grad()
+        with pytest.raises(ReproLabError, match="already replayed"):
+            backward(z.sum())
 
     def test_non_scalar_rejected(self):
         x = Tensor(np.zeros((2, 2)), requires_grad=True)

@@ -104,6 +104,7 @@ def _synthesize(spec: DatasetSpec, seed: int, per_class: int) -> LabeledDataset:
         family=spec.family,
         noise_amplitude=spec.noise_amplitude,
         max_shift=spec.max_shift,
+        contrast_jitter=spec.contrast_jitter,
         name=spec.display_name,
     )
 

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import yaml
 
+from .datasets import _FAMILIES
 from .errors import ConfigurationError
 from .models import TrainConfig
 from .reprogram import ReprogramConfig
@@ -40,6 +41,7 @@ class DatasetSpec:
     image_size: tuple[int, int] = (28, 28)
     noise_amplitude: float = 25.0
     max_shift: int = 2
+    contrast_jitter: float = 0.0
     # idx
     images: str | None = None
     labels: str | None = None
@@ -49,6 +51,12 @@ class DatasetSpec:
     def __post_init__(self):
         if self.kind not in ("synthetic", "idx"):
             raise ConfigurationError(f"dataset kind must be synthetic or idx, got {self.kind!r}")
+        if self.family not in _FAMILIES:
+            raise ConfigurationError(f"unknown synthetic family {self.family!r}; "
+                                     f"choose from {list(_FAMILIES)}")
+        if not 0.0 <= self.contrast_jitter < 1.0:
+            raise ConfigurationError(
+                f"contrast_jitter must be in [0, 1), got {self.contrast_jitter}")
         if self.kind == "idx" and (self.images is None or self.labels is None):
             raise ConfigurationError("idx datasets need 'images' and 'labels' paths")
         if self.kind == "idx" and (self.test_images is None) != (self.test_labels is None):
@@ -162,5 +170,11 @@ def config_hash(cfg: ExperimentConfig, **overrides) -> str:
     """Stable 16-hex digest of the resolved config (output path excluded)."""
     data = asdict(cfg)
     data.pop("out", None)
+    for section in ("source", "target"):
+        # The digests of configs written before contrast_jitter existed are
+        # stored (metrics rows, references); leaving the field out at its
+        # default keeps every one of them.
+        if data[section]["contrast_jitter"] == 0.0:
+            del data[section]["contrast_jitter"]
     data.update(overrides)
     return hashlib.sha256(canonical_json(data).encode()).hexdigest()[:16]

@@ -54,11 +54,10 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class PadSpec:
-    """Target (C, H, W) frame around an inner (h, w) image, centered by default."""
+    """Target (C, H, W) frame around a centered inner (h, w) image."""
 
     target_size: tuple[int, int, int]
     inner_size: tuple[int, int]
-    offset: tuple[int, int] | None = None
 
     def __post_init__(self):
         c, height, width = self.target_size
@@ -67,18 +66,6 @@ class PadSpec:
             raise ShapeError(f"non-positive extents in {self}")
         if ih > height or iw > width:
             raise ShapeError(f"inner {self.inner_size} does not fit in {self.target_size}")
-        row, col = self.placement
-        if row + ih > height or col + iw > width or row < 0 or col < 0:
-            raise ShapeError(f"offset {self.offset} pushes inner image out of the frame")
-
-    @property
-    def placement(self) -> tuple[int, int]:
-        if self.offset is not None:
-            return self.offset
-        return (
-            (self.target_size[1] - self.inner_size[0]) // 2,
-            (self.target_size[2] - self.inner_size[1]) // 2,
-        )
 
 
 def _read_exact(fh, count: int, path, what: str) -> bytes:
@@ -157,7 +144,7 @@ def preprocess(ds: LabeledDataset, spec: PadSpec) -> LabeledDataset:
     if c_in == 1 and c > 1:
         scaled = np.repeat(scaled, c, axis=1)
     out = np.zeros((n, c, height, width))
-    row, col = spec.placement
+    row, col = (height - ih) // 2, (width - iw) // 2
     out[:, :, row : row + ih, col : col + iw] = scaled
     return LabeledDataset(
         images=Tensor(out), labels=ds.labels.copy(), num_classes=ds.num_classes, name=ds.name

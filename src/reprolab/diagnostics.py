@@ -138,9 +138,9 @@ def domain_alignment(net: Network, target_set: LabeledDataset, class_map: ClassM
 
 
 def reprogramming_accuracy(net: Network, target_set: LabeledDataset, offset: np.ndarray,
-                           class_map: ClassMap, batch_size: int = 200) -> float:
+                           class_map: ClassMap) -> float:
     """Mapped accuracy on perturbed target samples x + offset, where offset = delta o M."""
-    return diagonal_accuracy(confusion_matrix(net, target_set, offset, class_map, batch_size))
+    return diagonal_accuracy(confusion_matrix(net, target_set, offset, class_map))
 
 
 def diagonal_accuracy(counts: np.ndarray) -> float:
@@ -246,7 +246,7 @@ def predicted_loss_drop(g, p, epsilon: float = 1.0) -> float:
 
 
 def confusion_matrix(net: Network, target_set: LabeledDataset, offset: np.ndarray | None,
-                     class_map: ClassMap, batch_size: int = 200) -> np.ndarray:
+                     class_map: ClassMap) -> np.ndarray:
     """Counts of true target class vs predicted class pulled back through the map.
 
     Shape (num_target, num_target + 1): predictions outside the map's image
@@ -255,7 +255,7 @@ def confusion_matrix(net: Network, target_set: LabeledDataset, offset: np.ndarra
     domain-alignment condition).
     """
     k = target_set.num_classes
-    chunks = _predict_chunks(net, target_set.images.array, offset, batch_size)
+    chunks = _predict_chunks(net, target_set.images.array, offset)
     pred = np.concatenate([chunk_pred for _, chunk_pred, _ in chunks])
     # The map is injective, so each prediction matches at most one target class.
     match = pred[:, None] == class_map.map[None, :]

@@ -5,7 +5,7 @@ softmax head (all 3x3 kernels, 2x2 pooling) at scale 1; ``width_scale``
 shrinks filter and unit counts so the same network runs at desk scale. An
 input-standardization layer (frozen per-channel z-score affine) sits in
 front of the first convolution; dropout between the fourth convolution and
-its ReLU is config-gated and inactive outside training.
+its ReLU is config-gated and active only in a forward given a generator.
 """
 
 from __future__ import annotations
@@ -37,15 +37,19 @@ class TrainConfig:
             raise ConfigurationError(f"momentum must be in [0, 1), got {self.momentum}")
 
 
-class _Context:
-    __slots__ = ("training", "rng")
-
-    def __init__(self, training: bool = False, rng: np.random.Generator | None = None):
-        self.training = training
-        self.rng = rng
+# Samples per graph-free evaluation forward (_predict_chunks).
+_EVAL_BATCH = 200
 
 
-class Standardize:
+class _ParameterFree:
+    """Base of the layers that hold no parameters."""
+
+    @property
+    def params(self) -> list[Tensor]:
+        return []
+
+
+class Standardize(_ParameterFree):
     """Frozen per-channel affine (x - mean) / std applied to network input."""
 
     def __init__(self, channels: int):
@@ -58,15 +62,11 @@ class Standardize:
         if (self.std <= 0).any():
             raise ConfigurationError("standardization std must be positive")
 
-    def forward(self, x: Tensor, ctx: _Context) -> Tensor:
+    def forward(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         inv = 1.0 / self.std
         scale = Tensor(inv.reshape(-1, 1, 1))
         shift = Tensor((-self.mean * inv).reshape(-1, 1, 1))
         return T.add(T.mul(x, scale), shift)
-
-    @property
-    def params(self) -> list[Tensor]:
-        return []
 
     def describe(self) -> dict:
         return {"kind": "standardize", "mean": list(self.mean), "std": list(self.std)}
@@ -78,7 +78,7 @@ class Conv:
         self.bias = Tensor(np.zeros(out_channels))
         self.padding = padding
 
-    def forward(self, x: Tensor, ctx: _Context) -> Tensor:
+    def forward(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         out = T.conv2d(x, self.weight, stride=1, padding=self.padding)
         return T.add(out, T.reshape(self.bias, (-1, 1, 1)))
 
@@ -91,63 +91,48 @@ class Conv:
         return {"kind": "conv", "filters": o, "in_channels": c, "kernel": kh, "padding": self.padding}
 
 
-class ReLU:
-    def forward(self, x: Tensor, ctx: _Context) -> Tensor:
+class ReLU(_ParameterFree):
+    def forward(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         return T.relu(x)
-
-    @property
-    def params(self) -> list[Tensor]:
-        return []
 
     def describe(self) -> dict:
         return {"kind": "relu"}
 
 
-class MaxPool:
+class MaxPool(_ParameterFree):
     def __init__(self, window: int = 2):
         self.window = window
 
-    def forward(self, x: Tensor, ctx: _Context) -> Tensor:
+    def forward(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         return T.maxpool2d(x, self.window)
-
-    @property
-    def params(self) -> list[Tensor]:
-        return []
 
     def describe(self) -> dict:
         return {"kind": "maxpool", "window": self.window}
 
 
-class Dropout:
-    """Active only while training and enabled; identity otherwise."""
+class Dropout(_ParameterFree):
+    """Active when enabled, with a positive rate, in a forward given a generator;
+    identity otherwise."""
 
     def __init__(self, rate: float, enabled: bool):
         self.rate = rate
         self.enabled = enabled
 
-    def active(self, ctx: _Context) -> bool:
-        return self.enabled and ctx.training and ctx.rng is not None and self.rate > 0
+    def active(self, rng: np.random.Generator | None) -> bool:
+        return self.enabled and rng is not None and self.rate > 0
 
-    def forward(self, x: Tensor, ctx: _Context) -> Tensor:
-        if self.active(ctx):
-            return T.dropout(x, self.rate, ctx.rng)
+    def forward(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
+        if self.active(rng):
+            return T.dropout(x, self.rate, rng)
         return x
-
-    @property
-    def params(self) -> list[Tensor]:
-        return []
 
     def describe(self) -> dict:
         return {"kind": "dropout", "rate": self.rate, "enabled": self.enabled}
 
 
-class Flatten:
-    def forward(self, x: Tensor, ctx: _Context) -> Tensor:
+class Flatten(_ParameterFree):
+    def forward(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         return T.reshape(x, (x.shape[0], -1))
-
-    @property
-    def params(self) -> list[Tensor]:
-        return []
 
     def describe(self) -> dict:
         return {"kind": "flatten"}
@@ -159,7 +144,7 @@ class Dense:
         self.bias = Tensor(np.zeros(out_features))
         self.head = head
 
-    def forward(self, x: Tensor, ctx: _Context) -> Tensor:
+    def forward(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         return T.add(T.matmul(x, self.weight), self.bias)
 
     @property
@@ -191,17 +176,17 @@ class Network:
     def standardize(self) -> Standardize:
         return self.layers[0]
 
-    def forward(self, x, training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+    def forward(self, x, rng: np.random.Generator | None = None) -> Tensor:
+        """Logits of ``x``; an enabled Dropout draws its mask from ``rng`` when given."""
         if not isinstance(x, Tensor):
             x = Tensor(x)
         expected = self.input_shape
         got = x.shape[-3:]
         if got != expected:
             raise ShapeError(f"input shape {got} does not match network input {expected}")
-        ctx = _Context(training=training, rng=rng)
         out = x
         for layer in self.layers:
-            out = layer.forward(out, ctx)
+            out = layer.forward(out, rng)
         return out
 
     def set_requires_grad(self, flag: bool) -> None:
@@ -223,24 +208,24 @@ class Network:
 # zero outside a small window; a training or evaluation batch is the same with a
 # zero offset. Outside the window all samples of a batch are the same, and so is
 # every feature map outside the window grown by the receptive field, up to the
-# first layer that makes samples differ: Flatten, or a Dropout active in the
-# context. forward_framed computes that shared part once on a batch-1 canvas and
-# only the grown window per sample.
+# first layer that makes samples differ: Flatten, or a Dropout active with the
+# forward's generator. forward_framed computes that shared part once on a batch-1
+# canvas and only the grown window per sample.
 
 
 def _frame_windows(net, images: np.ndarray,
-                   ctx: _Context | None = None) -> list[tuple[int, int, int, int]] | None:
+                   rng: np.random.Generator | None = None) -> list[tuple[int, ...]] | None:
     """Per-sample crop window (r0, r1, c0, c1) at the input of each layer up to the frame's end.
 
-    The frame ends at Flatten or at the first Dropout active in ``ctx``
-    (evaluation when None); the last window is that layer's input. The first
-    is the bounding box of the pixels nonzero in any sample and channel. None
-    when the net is not a Network, a layer before the end is not a known
-    kind, or a conv's grown window would reach past its input's edge.
+    The frame ends at Flatten or at the first Dropout active with ``rng``
+    (none is when ``rng`` is None); the last window is that layer's input.
+    The first is the bounding box of the pixels nonzero in any sample and
+    channel. None when the net is not a Network, a layer before the end is
+    not a known kind, or a conv's grown window would reach past its input's
+    edge.
     """
     if not isinstance(net, Network) or images.ndim != 4 or images.shape[1:] != net.input_shape:
         return None
-    ctx = ctx or _Context()
     nonzero = (images != 0).any(axis=(0, 1))
     rows, cols = np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
     if rows.size == 0:
@@ -250,7 +235,7 @@ def _frame_windows(net, images: np.ndarray,
     windows = []
     for layer in net.layers:
         windows.append((r0, r1, c0, c1))
-        if isinstance(layer, Flatten) or (isinstance(layer, Dropout) and layer.active(ctx)):
+        if isinstance(layer, Flatten) or (isinstance(layer, Dropout) and layer.active(rng)):
             return windows
         if isinstance(layer, Conv):
             ring, p = layer.weight.shape[-1] - 1, layer.padding
@@ -267,27 +252,27 @@ def _frame_windows(net, images: np.ndarray,
     return None
 
 
-def forward_framed(net, images: np.ndarray, offset: Tensor, training: bool = False,
+def forward_framed(net, images: np.ndarray, offset: Tensor,
                    rng: np.random.Generator | None = None) -> Tensor:
     """Logits of ``images + offset``, sharing the frame across the batch.
 
-    ``images`` is (N, C, H, W) and ``offset`` (C, H, W); ``training`` and
-    ``rng`` are net.forward's. The layers before the frame's end (Flatten, or
-    the first Dropout active in training) run twice: once on a batch-1 canvas
-    holding ``offset``, and once on per-sample crops of the window where some
-    image is nonzero, grown by each conv's reach and widened to pool
-    alignment. A conv reads its crop's ring from the canvas; at the frame's
-    end the crops are pasted into the canvas, and the remaining layers run at
-    full batch shape, so an active Dropout draws the same mask as on the tape.
+    ``images`` is (N, C, H, W) and ``offset`` (C, H, W); ``rng`` is
+    net.forward's. The layers before the frame's end (Flatten, or the first
+    Dropout active with ``rng``) run twice: once on a batch-1 canvas holding
+    ``offset``, and once on per-sample crops of the window where some image
+    is nonzero, grown by each conv's reach and widened to pool alignment. A
+    conv reads its crop's ring from the canvas; at the frame's end the crops
+    are pasted into the canvas, and the remaining layers run at full batch
+    shape, so an active Dropout draws the same mask as on the tape.
     The result and the parameter gradients equal net.forward(images + offset,
-    training, rng)'s in real arithmetic. Other models, other layer kinds and
-    windows that grow past the input's edge take that tape path.
+    rng)'s in real arithmetic. Other models, other layer kinds and windows
+    that grow past the input's edge take that tape path; without ``rng`` it
+    calls net.forward(x) alone, which any model takes.
     """
-    ctx = _Context(training=training, rng=rng)
-    windows = _frame_windows(net, images, ctx)
+    windows = _frame_windows(net, images, rng)
     if windows is None:
         x = T.add(Tensor(images), offset)
-        return net.forward(x, training=True, rng=rng) if training else net.forward(x)
+        return net.forward(x) if rng is None else net.forward(x, rng)
     end = len(windows) - 1
     r0, r1, c0, c1 = windows[0]
     canvas = T.reshape(offset, (1, *offset.shape))
@@ -304,14 +289,14 @@ def forward_framed(net, images: np.ndarray, offset: Tensor, training: bool = Fal
             a0, a1, b0, b1 = (v * layer.window for v in windows[i + 1])
             if (a0, a1, b0, b1) != (r0, r1, c0, c1):
                 crops = T.paste(T.crop(canvas, (a0, a1), (b0, b1)), crops, r0 - a0, c0 - b0)
-            crops = layer.forward(crops, ctx)
+            crops = layer.forward(crops, rng)
         else:
-            crops = layer.forward(crops, ctx)
-        canvas = layer.forward(canvas, ctx)
+            crops = layer.forward(crops, rng)
+        canvas = layer.forward(canvas, rng)
     r0, _, c0, _ = windows[end]
     out = T.paste(canvas, crops, r0, c0)
     for layer in net.layers[end:]:
-        out = layer.forward(out, ctx)
+        out = layer.forward(out, rng)
     return out
 
 
@@ -397,8 +382,7 @@ def train_sgd(net: Network, ds: LabeledDataset, cfg: TrainConfig) -> tuple[Netwo
     for epoch in range(cfg.epochs):
         epoch_losses: list[float] = []
         for batch_index, batch in enumerate(make_batches(ds, cfg.batch_size, cfg.seed, epoch)):
-            logits = forward_framed(net, ds.images.array[batch], zero, training=True,
-                                    rng=dropout_rng)
+            logits = forward_framed(net, ds.images.array[batch], zero, dropout_rng)
             loss = T.softmax_cross_entropy(logits, ds.labels[batch])
             value = loss.item()
             if not np.isfinite(value):
@@ -430,10 +414,11 @@ def predict_batch(net: Network, images: np.ndarray,
     return logits.argmax(axis=1), logits
 
 
-def _predict_chunks(net, images: np.ndarray, offset=None, batch_size: int = 200):
-    """Yield (rows, predictions, logits) of predict_batch over ``images[rows]``, in order."""
-    for start in range(0, len(images), batch_size):
-        rows = slice(start, min(start + batch_size, len(images)))
+def _predict_chunks(net, images: np.ndarray, offset=None):
+    """Yield (rows, predictions, logits) of predict_batch over chunks of _EVAL_BATCH
+    rows of ``images``, in order."""
+    for start in range(0, len(images), _EVAL_BATCH):
+        rows = slice(start, min(start + _EVAL_BATCH, len(images)))
         yield rows, *predict_batch(net, images[rows], offset)
 
 

@@ -49,9 +49,6 @@ class ClassMap:
         if len(np.unique(self.map)) != len(self.map):
             raise InjectivityError(f"class map {self.map.tolist()} reuses a source class")
 
-    def __len__(self) -> int:
-        return len(self.map)
-
     def apply(self, labels: np.ndarray) -> np.ndarray:
         return self.map[np.asarray(labels, dtype=np.int64)]
 
@@ -241,7 +238,7 @@ def optimize_program(net, opt_set: LabeledDataset, eval_set: LabeledDataset, mas
             g = average_masked_gradient(
                 net, opt_images[idx], opt_set.labels[idx], delta, mask, class_map, loss_fn
             )
-            delta = np.clip(delta - cfg.eta * np.sign(g), -1.0, 1.0)
+            delta = box_project(delta - cfg.eta * np.sign(g))
             if step_callback is not None:
                 step_callback(epoch, batch_index, delta.copy())
         epoch_loss = _mean_loss(net, eval_ds.images.array, delta * mask_arr, mapped_eval,

@@ -50,9 +50,8 @@ def no_grad():
 class Tensor:
     """A dense float64 array plus optional gradient and tape bookkeeping.
 
-    ``array`` is the shaped C-order buffer; ``data`` exposes the flat
-    row-major view the serialization format is defined over. ``grad`` is
-    allocated lazily during backward and has the same shape as ``array``.
+    ``array`` is the shaped C-order buffer. ``grad`` is allocated lazily
+    during backward and has the same shape as ``array``.
     """
 
     __slots__ = ("array", "requires_grad", "grad", "_parents", "_backward_rule", "_id")
@@ -73,11 +72,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.array.shape
-
-    @property
-    def data(self) -> np.ndarray:
-        """Flat row-major float64 view of the underlying buffer."""
-        return self.array.reshape(-1)
 
     def item(self) -> float:
         if self.array.size != 1:

@@ -184,7 +184,7 @@ def train_sgd_tape(net, images: np.ndarray, labels: np.ndarray, epochs: int,
         losses = []
         for i in range(len(images) // batch_size):
             batch = perm[i * batch_size:(i + 1) * batch_size]
-            logits = net.forward(T.Tensor(images[batch]), training=True, rng=dropout_rng)
+            logits = net.forward(T.Tensor(images[batch]), rng=dropout_rng)
             loss = T.softmax_cross_entropy(logits, labels[batch])
             losses.append(loss.item())
             T.backward(loss)

@@ -253,7 +253,7 @@ class _LinearLossModel:
     def __init__(self, w):
         self.w = w.reshape(-1, 1)
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x):
         if not isinstance(x, Tensor):
             x = Tensor(x)
         return T.matmul(T.reshape(x, (x.shape[0], -1)), Tensor(self.w))

@@ -2,7 +2,7 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +43,8 @@ from reprolab.reprogram import (
     save_program,
 )
 from reprolab.tensor import replace_file
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _tiny_config(out, seed=3) -> ExperimentConfig:
@@ -102,6 +104,34 @@ class TestConfig:
         assert config_hash(a) == config_hash(b)
         b.seed = 4
         assert config_hash(a) != config_hash(b)
+
+    def test_readme_example_loads(self):
+        block = README.read_text().split("Config shape:", 1)[1]
+        block = block.split("```yaml\n", 1)[1].split("```", 1)[0]
+        cfg = config_from_dict(yaml.safe_load(block))
+        assert cfg.source.contrast_jitter == 0.5
+        assert cfg.mask_outer_sizes == [36, 48, 64]
+
+    def test_contrast_jitter_changes_hash_and_pixels(self, tmp_path):
+        base = _tiny_config(tmp_path)
+        jittered = replace(base, source=replace(base.source, contrast_jitter=0.5))
+        assert config_hash(jittered) != config_hash(base)
+        plain = cli._load_raw(base.source, base.seed, train=True).images.array
+        dimmed = cli._load_raw(jittered.source, base.seed, train=True).images.array
+        assert plain.shape == dimmed.shape and not np.array_equal(plain, dimmed)
+
+    @pytest.mark.parametrize("value", [0.0, 0])
+    def test_contrast_jitter_at_zero_hashes_like_an_absent_key(self, value):
+        source = {"kind": "synthetic", "family": "strokes", "per_class": 5}
+        absent = config_from_dict({"source": source, "target": source})
+        explicit = config_from_dict({"source": dict(source, contrast_jitter=value),
+                                     "target": dict(source, contrast_jitter=value)})
+        assert config_hash(explicit) == config_hash(absent)
+
+    @pytest.mark.parametrize("value", [-0.1, 1.0])
+    def test_contrast_jitter_outside_unit_interval_rejected(self, value):
+        with pytest.raises(ConfigurationError, match=r"contrast_jitter must be in \[0, 1\)"):
+            config_from_dict({"target": {"contrast_jitter": value}})
 
     def test_canonical_json_sorts_keys(self):
         assert canonical_json({"b": 1, "a": {"d": 2.5, "c": [1, 2]}}) == \
@@ -701,6 +731,21 @@ class TestConfigValues:
             argv += ["--jobs", "2"]
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -3\n"
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("section", ["source", "target"])
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_unknown_family_rejected_before_any_output(self, pipeline, tmp_path, capsys,
+                                                        command, section):
+        cfg_path = _write_config(_tiny_config(tmp_path / "runs"), tmp_path / "cfg.yaml",
+                                 **{f"{section}__family": "foo"})
+        argv = [command, "--config", str(cfg_path)]
+        if command == "sweep":
+            argv += ["--model", str(pipeline["model_dir"]), "--jobs", "2"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown synthetic family 'foo'")
+        assert len(err.splitlines()) == 1
         assert not (tmp_path / "runs").exists()
 
     def test_valid_values_keep_their_hash(self, tmp_path):

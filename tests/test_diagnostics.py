@@ -37,7 +37,7 @@ class LinearLogitsModel:
     def __init__(self, w: np.ndarray):
         self.w = w  # (d, classes)
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x):
         if not isinstance(x, Tensor):
             x = Tensor(x)
         return T.matmul(T.reshape(x, (x.shape[0], -1)), Tensor(self.w))

@@ -11,8 +11,9 @@ result exactly.
 import numpy as np
 import pytest
 
+import reprolab.models as models
 import reprolab.tensor as T
-from reprolab.datasets import PadSpec, preprocess, synth_target_dataset
+from reprolab.datasets import LabeledDataset, PadSpec, preprocess, synth_target_dataset
 from reprolab.diagnostics import (
     confusion_matrix,
     diagonal_accuracy,
@@ -22,7 +23,6 @@ from reprolab.diagnostics import (
 from reprolab.models import (
     Dropout,
     TrainConfig,
-    _Context,
     _frame_windows,
     build_cwnet,
     forward_framed,
@@ -77,9 +77,16 @@ def net64():
 
 
 def _target(placement=None, n=20):
+    """Outline targets, centred or with the image's top-left corner at ``placement``."""
     raw = synth_target_dataset(11, per_class=n // 10, size=INNER, family="outline",
                                noise_amplitude=20.0, max_shift=1)
-    return preprocess(raw, PadSpec(SHAPE, INNER, offset=placement))
+    ds = preprocess(raw, PadSpec(SHAPE, INNER))
+    if placement is None:
+        return ds
+    # preprocess centres the image in a zero frame, so a roll moves it whole.
+    shift = [p - (side - inner) // 2 for p, side, inner in zip(placement, SHAPE[1:], INNER)]
+    return LabeledDataset(Tensor(np.roll(ds.images.array, shift, axis=(2, 3))), ds.labels,
+                          ds.num_classes)
 
 
 def _deltas(rng):
@@ -132,18 +139,20 @@ class TestFramedMatchesTape:
         want = _tape_gradient(net64, images, labels, delta, mask)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    def test_evaluation_counts_match_tape_predictions(self, net64):
+    def test_evaluation_counts_match_tape_predictions(self, net64, monkeypatch):
+        # Chunks of 16 leave a last chunk of 4.
+        monkeypatch.setattr(models, "_EVAL_BATCH", 16)
         ds = _target((9, 21))
         mask = build_frame_mask(SHAPE, INNER, 48)
         cm = build_class_map(10)
         offset = np.random.default_rng(3).uniform(-1.0, 1.0, SHAPE) * mask.array
         pred = _tape_logits(net64, ds.images.array, offset).argmax(axis=1)
-        counts = confusion_matrix(net64, ds, offset, cm, batch_size=16)
+        counts = confusion_matrix(net64, ds, offset, cm)
         expected = np.zeros_like(counts)
         for label, p in zip(ds.labels, pred):
             expected[label, p if p < 10 else 10] += 1
         assert np.array_equal(counts, expected)
-        ra = reprogramming_accuracy(net64, ds, offset, cm, batch_size=16)
+        ra = reprogramming_accuracy(net64, ds, offset, cm)
         assert ra == np.trace(counts) / len(ds)
 
     def test_gradient_passes_finite_differences(self):
@@ -209,7 +218,7 @@ class TestTrainingMatchesTape:
     def test_frame_ends_at_the_active_dropout(self):
         net, ds = self._net_and_data((3, 32, 32), (8, 8))
         images = ds.images.array
-        training = _frame_windows(net, images, _Context(True, np.random.default_rng(0)))
+        training = _frame_windows(net, images, np.random.default_rng(0))
         assert isinstance(net.layers[len(training) - 1], Dropout)
         assert len(training) < len(_frame_windows(net, images))
 

@@ -112,7 +112,7 @@ class TestTrainSGD:
         layer.weight.array[...] = w0
         layer.weight.requires_grad = True
         layer.bias.requires_grad = True
-        loss = softmax_cross_entropy(layer.forward(Tensor(x), None), label)
+        loss = softmax_cross_entropy(layer.forward(Tensor(x)), label)
         loss.backward()
         logits = x @ w0
         probs = np.exp(logits - logits.max())

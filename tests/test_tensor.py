@@ -313,8 +313,8 @@ class TestSerialization:
 
 def test_tensor_invariants(rng):
     t = Tensor(rng.normal(0, 1, (4, 5)))
-    assert int(np.prod(t.shape)) == len(t.data)
-    assert t.data.flags.c_contiguous or t.data.base is not None
+    assert int(np.prod(t.shape)) == t.array.size
+    assert t.array.flags.c_contiguous and t.array.dtype == np.float64
     x = Tensor(rng.normal(0, 1, (4, 5)), requires_grad=True)
     backward((x * x).sum())
-    assert x.grad.size == len(x.data)
+    assert x.grad.shape == x.array.shape

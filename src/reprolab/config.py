@@ -54,6 +54,13 @@ class DatasetSpec:
         if self.family not in _FAMILIES:
             raise ConfigurationError(f"unknown synthetic family {self.family!r}; "
                                      f"choose from {list(_FAMILIES)}")
+        if self.num_classes < 1:
+            raise ConfigurationError(f"num_classes must be >= 1, got {self.num_classes}")
+        if self.max_shift < 0:
+            raise ConfigurationError(f"max_shift must be >= 0, got {self.max_shift}")
+        if self.noise_amplitude < 0:
+            raise ConfigurationError(
+                f"noise_amplitude must be >= 0, got {self.noise_amplitude}")
         if not 0.0 <= self.contrast_jitter < 1.0:
             raise ConfigurationError(
                 f"contrast_jitter must be in [0, 1), got {self.contrast_jitter}")

@@ -78,9 +78,10 @@ class Conv:
         self.bias = Tensor(np.zeros(out_channels))
         self.padding = padding
 
-    def forward(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
-        out = T.conv2d(x, self.weight, stride=1, padding=self.padding)
-        return T.add(out, T.reshape(self.bias, (-1, 1, 1)))
+    def forward(self, x: Tensor, rng: np.random.Generator | None = None,
+                relu: bool = False) -> Tensor:
+        """The convolution plus bias, and the following ReLU when ``relu``."""
+        return T.conv_layer(x, self.weight, self.bias, self.padding, relu)
 
     @property
     def params(self) -> list[Tensor]:
@@ -184,10 +185,7 @@ class Network:
         got = x.shape[-3:]
         if got != expected:
             raise ShapeError(f"input shape {got} does not match network input {expected}")
-        out = x
-        for layer in self.layers:
-            out = layer.forward(out, rng)
-        return out
+        return _run_layers(self.layers, x, rng)
 
     def set_requires_grad(self, flag: bool) -> None:
         for p in self.params:
@@ -200,6 +198,31 @@ class Network:
         std = arr.std(axis=(0, 2, 3))
         std = np.where(std < 1e-8, 1.0, std)
         self.standardize.set(mean, std)
+
+
+def _steps(layers: list, rng: np.random.Generator | None):
+    """(index, layer, relu) for each layer a forward with ``rng`` runs, in order.
+
+    A Dropout inactive with ``rng`` is the identity and is skipped. A Conv
+    whose next remaining layer is a ReLU takes that ReLU in (relu=True), so
+    conv, bias and ReLU are one tape node.
+    """
+    acting = [(i, layer) for i, layer in enumerate(layers)
+              if not isinstance(layer, Dropout) or layer.active(rng)]
+    k = 0
+    while k < len(acting):
+        i, layer = acting[k]
+        relu = (isinstance(layer, Conv) and k + 1 < len(acting)
+                and isinstance(acting[k + 1][1], ReLU))
+        yield i, layer, relu
+        k += 2 if relu else 1
+
+
+def _run_layers(layers: list, x: Tensor, rng: np.random.Generator | None) -> Tensor:
+    """``x`` through ``layers`` as _steps orders them for ``rng``."""
+    for _, layer, relu in _steps(layers, rng):
+        x = layer.forward(x, relu=True) if relu else layer.forward(x, rng)
+    return x
 
 
 # -- framed forward ------------------------------------------------------------------
@@ -277,27 +300,23 @@ def forward_framed(net, images: np.ndarray, offset: Tensor,
     r0, r1, c0, c1 = windows[0]
     canvas = T.reshape(offset, (1, *offset.shape))
     crops = T.add(Tensor(images[:, :, r0:r1, c0:c1]), T.crop(canvas, (r0, r1), (c0, c1)))
-    for i, layer in enumerate(net.layers[:end]):
+    for i, layer, relu in _steps(net.layers[:end], rng):
         r0, r1, c0, c1 = windows[i]
         if isinstance(layer, Conv):
             ring = layer.weight.shape[-1] - 1
             crops = T.paste(T.crop(canvas, (r0 - ring, r1 + ring), (c0 - ring, c1 + ring)),
                             crops, ring, ring)
-            crops = T.add(T.conv2d(crops, layer.weight, stride=1, padding=0),
-                          T.reshape(layer.bias, (-1, 1, 1)))
-        elif isinstance(layer, MaxPool):
+            crops = T.conv_layer(crops, layer.weight, layer.bias, 0, relu)
+            canvas = layer.forward(canvas, relu=relu)
+            continue
+        if isinstance(layer, MaxPool):
             a0, a1, b0, b1 = (v * layer.window for v in windows[i + 1])
             if (a0, a1, b0, b1) != (r0, r1, c0, c1):
                 crops = T.paste(T.crop(canvas, (a0, a1), (b0, b1)), crops, r0 - a0, c0 - b0)
-            crops = layer.forward(crops, rng)
-        else:
-            crops = layer.forward(crops, rng)
+        crops = layer.forward(crops, rng)
         canvas = layer.forward(canvas, rng)
     r0, _, c0, _ = windows[end]
-    out = T.paste(canvas, crops, r0, c0)
-    for layer in net.layers[end:]:
-        out = layer.forward(out, rng)
-    return out
+    return _run_layers(net.layers[end:], T.paste(canvas, crops, r0, c0), rng)
 
 
 def _scaled(count: int, width_scale: float) -> int:

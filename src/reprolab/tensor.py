@@ -7,11 +7,14 @@ output tensor; ``backward`` replays the recorded rules in reverse creation
 order, which is a fixed topological order of the graph, so gradient
 accumulation is deterministic.
 
-All arrays are C-contiguous float64, and operations never write to their
-inputs. ``backward`` fills ``grad`` buffers and consumes the graph it
+All arrays are C-contiguous float64. At the API, operations never write to
+their inputs; inside, ``conv_layer`` adds its bias and applies its ReLU in
+place on the fresh convolution output, so a conv layer keeps one array on
+the tape. ``backward`` fills ``grad`` buffers and consumes the graph it
 replays: it frees each interior node's gradient, rule and parent links as
 soon as the rule has run, so only leaves keep a ``grad`` and a graph is
-replayed at most once.
+replayed at most once. A node owns its gradient buffer, so its rule may
+write into it or hand it to one parent without a copy.
 """
 
 from __future__ import annotations
@@ -119,11 +122,17 @@ def _make_node(array: np.ndarray, parents: Sequence[Tensor],
     return out
 
 
-def _accumulate(t: Tensor, grad: np.ndarray, owned: bool = False) -> None:
-    # ``owned`` marks freshly allocated arrays the rule will not reuse, which
-    # may be adopted without a defensive copy.
+def _accumulate(t: Tensor, grad: np.ndarray, shared: bool = False) -> None:
+    """Add ``grad`` into ``t.grad``.
+
+    A rule hands over a fresh array or its node's own gradient, which backward
+    drops once the rule has run; ``t`` adopts it as its gradient without a
+    copy. ``shared`` marks an array that another parent has already adopted,
+    which is copied first.
+    """
     if t.grad is None:
-        t.grad = grad if owned and grad.flags.c_contiguous else np.array(grad, dtype=np.float64)
+        adopt = not shared and isinstance(grad, np.ndarray) and grad.flags.c_contiguous
+        t.grad = grad if adopt else np.array(grad, dtype=np.float64)
     else:
         t.grad += grad
 
@@ -148,10 +157,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
 
     def rule(grad: np.ndarray) -> None:
+        ga = None
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(grad, a.shape))
+            ga = _unbroadcast(grad, a.shape)
+            _accumulate(a, ga)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(grad, b.shape))
+            gb = _unbroadcast(grad, b.shape)
+            _accumulate(b, gb, shared=gb is ga)
 
     return _make_node(out, (a, b), rule)
 
@@ -230,7 +242,8 @@ def relu(a: Tensor) -> Tensor:
 
     def rule(grad: np.ndarray) -> None:
         if a.requires_grad:
-            _accumulate(a, grad * (a.array > 0.0))
+            grad *= a.array > 0.0
+            _accumulate(a, grad)
 
     return _make_node(out, (a,), rule)
 
@@ -243,7 +256,8 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 
     def rule(grad: np.ndarray) -> None:
         if a.requires_grad:
-            _accumulate(a, grad * keep)
+            grad *= keep
+            _accumulate(a, grad)
 
     return _make_node(a.array * keep, (a,), rule)
 
@@ -287,9 +301,19 @@ def _offset_gemm(out2: np.ndarray, wmats, grid: np.ndarray, offsets, span: int) 
                 acc += tmp[:, :length]
 
 
-def _offset_gemm_scatter(dgrid: np.ndarray, wmats, gwin: np.ndarray, offsets, span: int) -> None:
-    """dgrid[:, q + offsets[k]] += wmats[k] @ gwin[:, q], segment by segment."""
-    tmp = np.empty((dgrid.shape[0], min(_SEG, span)))
+def _offset_gemm_scatter(dgrid: np.ndarray, wmats, gwin: np.ndarray, offsets, span: int,
+                         scratch: np.ndarray) -> None:
+    """dgrid[:, q + offsets[k]] += wmats[k] @ gwin[:, q], segment by segment.
+
+    The products are formed in ``scratch``, an array the caller no longer
+    reads, when it is C-contiguous and large enough.
+    """
+    shape = (dgrid.shape[0], min(_SEG, span))
+    size = shape[0] * shape[1]
+    if scratch.flags.c_contiguous and scratch.size >= size:
+        tmp = scratch.reshape(-1)[:size].reshape(shape)
+    else:
+        tmp = np.empty(shape)
     for s0 in range(0, span, _SEG):
         s1 = min(s0 + _SEG, span)
         length = s1 - s0
@@ -368,17 +392,58 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
         gwin = gfull[:, :span]
         if weight_grad:
             dw_flat = _offset_gemm_outer(gwin, grid, offsets, span, c_out, c_in)
-            _accumulate(kernels, dw_flat.transpose(1, 2, 0).reshape(wk.shape), owned=False)
+            _accumulate(kernels, dw_flat.transpose(1, 2, 0).reshape(wk.shape))
         if x.requires_grad:
             dgrid = np.zeros((c_in, n * hp * wp + kw - 1))
             wmats_t = [np.ascontiguousarray(m.T) for m in wmats]
-            _offset_gemm_scatter(dgrid, wmats_t, gwin, offsets, span)
+            # gfull holds grad_out's values, and grad_out is this node's own
+            # gradient, so the scatter may overwrite it.
+            _offset_gemm_scatter(dgrid, wmats_t, gwin, offsets, span, grad_out)
+            # Free the scattered output gradient before dx is allocated.
+            del gfull, gview, gwin
             dview = dgrid[:, : n * hp * wp].reshape(c_in, n, hp, wp)
             dx = np.empty((n, c_in, h, w))
             dx.transpose(1, 0, 2, 3)[...] = dview[:, :, padding : padding + h, padding : padding + w]
-            _accumulate(x, dx[0] if single else dx, owned=True)
+            _accumulate(x, dx[0] if single else dx)
 
     return _make_node(out[0] if single else out, (x, kernels), rule)
+
+
+def conv_layer(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0,
+               relu: bool = False) -> Tensor:
+    """A conv layer as one node: conv2d(x, kernels, padding=padding) plus the
+    per-channel ``bias`` (C_out,), then a ReLU when ``relu``.
+
+    The bias and the ReLU are applied in place on conv2d's fresh output, so
+    the tape keeps one array for the layer; the rule masks the node's own
+    gradient in place before conv2d's rule reads it. Values and gradients
+    equal relu(add(conv2d(...), reshape(bias, (-1, 1, 1))))'s bit for bit.
+    """
+    out = conv2d(x, kernels, padding=padding)
+    c_out = kernels.shape[0]
+    if bias.shape != (c_out,):
+        raise ShapeError(f"conv_layer: bias shape {bias.shape} does not match {c_out} kernels")
+    # Looked up after the call, so a conv2d wrapped in this module's namespace
+    # keeps its wrapped rule.
+    conv_rule = out._backward_rule
+    activations = out.array
+    activations += bias.array.reshape(c_out, 1, 1)
+    if relu:
+        np.maximum(activations, 0.0, out=activations)
+
+    def rule(grad: np.ndarray) -> None:
+        if relu:
+            grad *= activations > 0.0
+        if bias.requires_grad:
+            _accumulate(bias, _unbroadcast(grad, (c_out, 1, 1)).reshape(c_out))
+        if conv_rule is not None:
+            conv_rule(grad)
+
+    if _recording and (conv_rule is not None or bias.requires_grad):
+        out.requires_grad = True
+        out._parents = (x, kernels, bias)
+        out._backward_rule = rule
+    return out
 
 
 def maxpool2d(x: Tensor, window: int = 2) -> Tensor:
@@ -409,7 +474,7 @@ def maxpool2d(x: Tensor, window: int = 2) -> Tensor:
             winner = (slices[k] == out) & ~taken
             dx[:, :, a::window, b::window] = grad * winner
             taken |= winner
-        _accumulate(x, dx[0] if single else dx, owned=True)
+        _accumulate(x, dx[0] if single else dx)
 
     return _make_node(out[0] if single else out, (x,), rule)
 
@@ -425,7 +490,7 @@ def crop(a: Tensor, rows: tuple[int, int], cols: tuple[int, int]) -> Tensor:
         if a.requires_grad:
             full = np.zeros_like(a.array)
             full[:, :, r0:r1, c0:c1] = grad
-            _accumulate(a, full, owned=True)
+            _accumulate(a, full)
 
     return _make_node(a.array[:, :, r0:r1, c0:c1], (a,), rule)
 
@@ -447,7 +512,7 @@ def paste(canvas: Tensor, patch: Tensor, top: int, left: int) -> Tensor:
         if canvas.requires_grad:
             shared = grad.sum(axis=0, keepdims=True)
             shared[window] = 0.0
-            _accumulate(canvas, shared, owned=True)
+            _accumulate(canvas, shared)
 
     return _make_node(out, (canvas, patch), rule)
 

@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: explicit loops, arbitrary precision,
 or exhaustive enumeration. None of it shares code with the package, except
-train_sgd_tape, which drives the network's own tape forward and backward, and
-backward_retaining, which replays the tape's own recorded rules.
+train_sgd_tape, which drives the network's own tape forward and backward,
+backward_retaining, which replays the tape's own recorded rules, and
+conv_layer_unfused, which chains the tape's own unfused operations.
 """
 
 import numpy as np
@@ -220,3 +221,12 @@ def backward_retaining(loss) -> None:
     for node in sorted(tape_nodes(loss), key=lambda t: t._id, reverse=True):
         if node._backward_rule is not None and node.grad is not None:
             node._backward_rule(node.grad)
+
+
+def conv_layer_unfused(x, kernels, bias, padding=0, relu=False):
+    """tensor.conv_layer as the chain of tape operations it fuses: conv2d,
+    add of the bias reshaped to (C_out, 1, 1), then relu when ``relu``."""
+    import reprolab.tensor as T
+
+    out = T.add(T.conv2d(x, kernels, padding=padding), T.reshape(bias, (-1, 1, 1)))
+    return T.relu(out) if relu else out

@@ -748,6 +748,17 @@ class TestConfigValues:
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("section", ["source", "target"])
+    @pytest.mark.parametrize("key, value, least", [
+        ("max_shift", -1, 0), ("noise_amplitude", -0.5, 0), ("num_classes", 0, 1)])
+    def test_out_of_range_dataset_value_rejected(self, tmp_path, capsys, section, key, value,
+                                                 least):
+        cfg_path = _write_config(_tiny_config(tmp_path / "runs"), tmp_path / "cfg.yaml",
+                                 **{f"{section}__{key}": value})
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"error: {key} must be >= {least}, got {value}\n"
+        assert not (tmp_path / "runs").exists()
+
     def test_valid_values_keep_their_hash(self, tmp_path):
         # Digests of the same configs before their values were checked.
         cfg = _tiny_config(tmp_path)

@@ -39,7 +39,7 @@ from reprolab.reprogram import (
 )
 from reprolab.tensor import Tensor, finite_diff_check
 
-from oracles import train_sgd_tape
+from oracles import conv_layer_unfused, train_sgd_tape
 
 SHAPE = (3, 64, 64)
 INNER = (28, 28)
@@ -236,6 +236,58 @@ class TestTrainingMatchesTape:
         assert history == tape_history
         for got, want in zip(net.params, tape_net.params):
             assert np.array_equal(got.array, want.array)
+
+
+class TestConvLayerMatchesUnfusedChain:
+    """Every conv layer is one tensor.conv_layer node; the chain it fuses
+    (oracles.conv_layer_unfused) gives the same bits on both paths."""
+
+    @staticmethod
+    def _biased_net():
+        net = init_weights(build_cwnet(SHAPE, width_scale=0.25, dropout_enabled=True), 8)
+        net.set_input_standardization(_target())
+        bias_rng = np.random.default_rng(9)
+        for p in net.params:
+            if p.array.ndim == 1:
+                p.array[...] = bias_rng.normal(0.0, 0.1, p.shape)
+        return net
+
+    # With a generator the Dropout is active, so the fourth conv runs without
+    # its ReLU; without one every conv layer takes its ReLU in.
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("trainable", [False, True])
+    @pytest.mark.parametrize("path", ["tape", "framed"])
+    def test_logits_loss_and_gradients(self, monkeypatch, path, trainable, dropout):
+        net = self._biased_net()
+        ds = _target(n=10)
+        offset = 0.05 * np.random.default_rng(10).integers(-20, 21, SHAPE)
+
+        def run():
+            rng = np.random.default_rng(11) if dropout else None
+            net.set_requires_grad(trainable)
+            try:
+                if path == "tape":
+                    inputs = Tensor(ds.images.array + offset, requires_grad=True)
+                    logits = net.forward(inputs, rng)
+                else:
+                    assert _framed_applies(net, ds.images.array)
+                    inputs = Tensor(offset, requires_grad=True)
+                    logits = forward_framed(net, ds.images.array, inputs, rng)
+                loss = T.softmax_cross_entropy(logits, ds.labels)
+                T.backward(loss)
+                return [logits.array, loss.array, inputs.grad] + [p.grad for p in net.params]
+            finally:
+                for p in net.params:
+                    p.zero_grad()
+                net.set_requires_grad(False)
+
+        fused = run()
+        with monkeypatch.context() as m:
+            m.setattr(T, "conv_layer", conv_layer_unfused)
+            unfused = run()
+        assert all((g is None) == (not trainable) for g in fused[3:])
+        for got, want in zip(fused, unfused):
+            assert (got is None and want is None) or np.array_equal(got, want)
 
 
 class TestPredictBatch:

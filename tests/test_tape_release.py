@@ -1,13 +1,15 @@
 """tensor.backward consumes the tape it replays.
 
 Once an interior node's rule has run, the replay drops the node's gradient,
-rule and parent links, and conv2d keeps its padded input only when the weight
-gradient will read it. Neither changes a value: leaf gradients equal, bit for
-bit, those of a replay that keeps everything alive (oracles.backward_retaining).
+rule and parent links, conv2d keeps its padded input only when the weight
+gradient will read it, and a conv layer (tensor.conv_layer) keeps one array.
+None of this changes a value: leaf gradients equal, bit for bit, those of a
+replay that keeps everything alive (oracles.backward_retaining).
 """
 
 import tracemalloc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ import pytest
 import reprolab.tensor as T
 from reprolab import diagnostics
 from reprolab.datasets import PadSpec, preprocess, synth_target_dataset
-from reprolab.models import build_cwnet, forward_framed, init_weights
+from reprolab.models import Conv, build_cwnet, forward_framed, init_weights
 from reprolab.reprogram import average_masked_gradient, build_class_map, build_frame_mask
 from reprolab.tensor import Tensor
 
@@ -60,7 +62,9 @@ class TestRelease:
             for p in small_net.params:
                 p.zero_grad()
             small_net.set_requires_grad(False)
-        assert len(interior) > 20
+        # Standardize 2, four conv layers 4 (the fourth takes its ReLU in past the
+        # inactive Dropout), two pools 2, Flatten 1, three Dense 6, two ReLUs 2, loss 1.
+        assert len(interior) == 18
         assert all(n.grad is None and n._parents == () for n in interior)
         assert all(rule() is None for rule in rules)
 
@@ -80,6 +84,20 @@ class TestRelease:
                 tracemalloc.stop()
 
         assert retained(False) <= retained(True) - grid_bytes
+
+    def test_framed_step_keeps_one_array_per_conv_layer_and_path(self, net_and_set):
+        net, ds = net_and_set
+        offset = Tensor(np.random.default_rng(3).uniform(-0.5, 0.5, SHAPE), requires_grad=True)
+        loss = T.softmax_cross_entropy(forward_framed(net, ds.images.array, offset),
+                                       build_class_map(10).apply(ds.labels))
+        nodes = tape_nodes(loss)
+        weights = [layer.weight for layer in net.layers if isinstance(layer, Conv)]
+        conv_shapes = [n.shape for n in nodes if any(w in n._parents for w in weights)]
+        # Four conv layers, each on the shared frame (batch 1) and on the crops.
+        assert sorted(s[0] for s in conv_shapes) == [1] * 4 + [len(ds)] * 4
+        arrays = {(n.shape, n.array.__array_interface__["data"][0]) for n in nodes}
+        held = Counter(shape for shape, _ in arrays if shape in conv_shapes)
+        assert held == Counter(conv_shapes)
 
     def test_framed_step_backward_peak_stays_near_the_forward_tape(self, net_and_set):
         net, ds = net_and_set

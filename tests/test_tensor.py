@@ -17,7 +17,13 @@ from reprolab.tensor import (
     softmax_cross_entropy,
 )
 
-from oracles import conv2d_loops, cross_entropy_mpmath, matmul_loops, maxpool2d_loops
+from oracles import (
+    conv2d_loops,
+    conv_layer_unfused,
+    cross_entropy_mpmath,
+    matmul_loops,
+    maxpool2d_loops,
+)
 
 
 class TestMatmul:
@@ -95,6 +101,36 @@ class TestConv2d:
             return softmax_cross_entropy(h.reshape((2, -1)) @ head, labels)
 
         assert finite_diff_check(f, Tensor(rng.normal(0, 0.5, (3, 2, 3, 3)))) < 1e-7
+
+
+class TestConvLayer:
+    @pytest.mark.parametrize("relu_on", [False, True])
+    @pytest.mark.parametrize("trainable", [False, True])
+    @pytest.mark.parametrize("shape", [(3, 9, 9), (4, 3, 9, 9)])
+    def test_equals_unfused_chain_bit_for_bit(self, rng, relu_on, trainable, shape):
+        xa, ka = rng.normal(0, 1, shape), rng.normal(0, 0.5, (5, 3, 3, 3))
+        ba = rng.normal(0, 1, 5)
+        upstream = rng.normal(0, 1, (*shape[:-3], 5, 9, 9))
+
+        def run(op):
+            x = Tensor(xa, requires_grad=True)
+            k, b = Tensor(ka, requires_grad=trainable), Tensor(ba, requires_grad=trainable)
+            out = op(x, k, b, 1, relu_on)
+            loss = T.mul(out, Tensor(upstream)).sum()
+            backward(loss)
+            return out.array, loss.array, x.grad, k.grad, b.grad
+
+        fused, unfused = run(T.conv_layer), run(conv_layer_unfused)
+        assert (fused[3] is None) == (not trainable)
+        for got, want in zip(fused, unfused):
+            assert (got is None and want is None) or np.array_equal(got, want)
+        if relu_on:
+            assert (fused[0] == 0.0).any()
+
+    def test_bias_shape_mismatch(self, rng):
+        x, k = Tensor(rng.normal(0, 1, (2, 6, 6))), Tensor(rng.normal(0, 1, (4, 2, 3, 3)))
+        with pytest.raises(ShapeError, match="bias shape"):
+            T.conv_layer(x, k, Tensor(np.zeros(3)), 1)
 
 
 class TestMaxPool:
@@ -209,6 +245,13 @@ class TestBackward:
         y = x + x  # d/dx = 2
         backward((y * y).sum())  # d/dx (2x)^2 = 8x
         assert np.allclose(x.grad, [16.0])
+
+    def test_add_hands_its_gradient_to_one_parent_only(self, rng):
+        a, b = (Tensor(rng.normal(0, 1, 4), requires_grad=True) for _ in range(2))
+        c = Tensor(rng.normal(0, 1, 4), requires_grad=True)
+        backward((T.add(a, b) * c).sum() + T.add(a, c).sum())
+        assert not np.shares_memory(a.grad, b.grad)
+        assert np.array_equal(b.grad, c.array) and np.array_equal(a.grad, c.array + 1.0)
 
     def test_second_backward_through_a_replayed_graph_raises(self):
         x = Tensor([3.0], requires_grad=True)

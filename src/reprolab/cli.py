@@ -9,7 +9,6 @@ sweep, 1 hard failure.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import functools
 import json
 import math
@@ -73,7 +72,7 @@ from .reprogram import (
     zero_program_loss,
 )
 from .stats import permutation_pvalue
-from .tensor import replace_file, write_json
+from .tensor import _openblas, replace_file, write_json
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -297,39 +296,17 @@ def cmd_reprogram(cfg: ExperimentConfig, model_dir, out_dir=None) -> MetricsReco
 # -- sweep ---------------------------------------------------------------------------------
 
 
-def _cpu_count() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _openblas():
-    """numpy's scipy-openblas library as loaded in this process, or None."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh
-                            if "openblas" in line})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-            get, set_ = (lib.scipy_openblas_get_num_threads64_,
-                         lib.scipy_openblas_set_num_threads64_)
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return lib
-    return None
-
-
-def limit_blas_threads(limit: int) -> None:
-    """Lower OpenBLAS's thread count to ``limit``; never raise it. A no-op where
-    numpy's BLAS does not export the scipy-openblas thread functions."""
+def limit_blas_threads(limit: int) -> int | None:
+    """Lower OpenBLAS's thread count to ``limit``; never raise it. Returns the
+    count found, or None, doing nothing, where numpy's BLAS does not export the
+    scipy-openblas thread functions."""
     lib = _openblas()
-    if lib is not None and lib.scipy_openblas_get_num_threads64_() > limit:
+    if lib is None:
+        return None
+    found = lib.scipy_openblas_get_num_threads64_()
+    if found > limit:
         lib.scipy_openblas_set_num_threads64_(limit)
+    return found
 
 
 @dataclass
@@ -391,10 +368,10 @@ def _post_task(sweep: _Sweep, i: int, zero: ZeroProgram, program: Program) -> di
 _worker_sweep: _Sweep | None = None
 
 
-def _init_worker(sweep: _Sweep, blas_limit: int) -> None:
+def _init_worker(sweep: _Sweep) -> None:
     global _worker_sweep
     _worker_sweep = sweep
-    limit_blas_threads(blas_limit)
+    limit_blas_threads(1)
 
 
 def _in_worker(task, *args):
@@ -402,9 +379,8 @@ def _in_worker(task, *args):
 
 
 def _pool(sweep: _Sweep | None, workers: int) -> ProcessPoolExecutor:
-    """A pool whose workers hold ``sweep`` and split the cores' BLAS threads."""
-    return ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                               initargs=(sweep, max(1, _cpu_count() // workers)))
+    """A pool whose workers hold ``sweep`` and run one BLAS thread each."""
+    return ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(sweep,))
 
 
 def _run_now(task, sweep: _Sweep, *args) -> Future:
@@ -462,7 +438,8 @@ def cmd_sweep(cfg: ExperimentConfig, model_dir, out_dir=None, jobs: int = 1) -> 
     The parent loads the checkpoint (_load_checkpoint) and builds the target
     sets once, then runs the sweep's tasks (_schedule): one zero-program task,
     and per mask an optimization followed by a post task. At ``jobs`` = 1 they
-    run inline in a fixed order, otherwise on one pool of ``jobs`` workers.
+    run inline in a fixed order, otherwise on one pool of ``jobs`` workers;
+    either way at one OpenBLAS thread.
     ``jobs`` below 1, a repeated size, or a checkpoint whose input shape is not
     the config's, is a ConfigurationError before any work. An error in the
     zero-program task fails the sweep. A size whose mask cannot be built, or
@@ -505,7 +482,14 @@ def cmd_sweep(cfg: ExperimentConfig, model_dir, out_dir=None, jobs: int = 1) -> 
                 _schedule(sweep, lambda task, *args: _run_now(_in_own_worker, sweep, task, *args),
                           futures)
         else:
-            _schedule(sweep, lambda task, *args: _run_now(task, sweep, *args), futures)
+            # One BLAS thread, as in a pool worker: the thread count can decide
+            # the last bits of a GEMM, and jobs must not change the bytes.
+            found = limit_blas_threads(1)
+            try:
+                _schedule(sweep, lambda task, *args: _run_now(task, sweep, *args), futures)
+            finally:
+                if found is not None:
+                    _openblas().scipy_openblas_set_num_threads64_(found)
 
     rows: dict[int, dict] = {}
     for (kind, i), future in futures.items():

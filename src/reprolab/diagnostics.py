@@ -155,7 +155,9 @@ def _alignment_ratio(sum_grad: np.ndarray, sum_norms: float, count: int) -> floa
     denominator = sum_norms / count
     if denominator == 0.0:
         return 0.0
-    return float(np.abs(sum_grad / count).sum() / denominator)
+    # r <= 1 by the triangle inequality; only rounding exceeds it, as when
+    # dividing subnormal sums by ``count`` rounds the numerator up.
+    return min(1.0, float(np.abs(sum_grad / count).sum() / denominator))
 
 
 def gradient_alignment(gradients) -> float:

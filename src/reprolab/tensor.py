@@ -19,6 +19,8 @@ write into it or hand it to one parent without a copy.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import itertools
 import json
 import os
@@ -270,7 +272,10 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 # across row and sample boundaries, but every wrapped output cell lands outside
 # the valid output rows/columns and is cropped, and the backward passes place
 # zeros there, so no garbage propagates. This avoids materializing im2col
-# patch matrices (a 9x data blow-up for 3x3 kernels) entirely.
+# patch matrices (a 9x data blow-up for 3x3 kernels) entirely. BLAS adds each
+# offset's product into its destination itself (dgemm with beta = 1), which
+# rounds exactly like forming the product and adding it, so no product is
+# stored and added in a separate pass.
 
 
 def _wrap_grid(x4: np.ndarray, padding: int, kw: int) -> np.ndarray:
@@ -283,43 +288,109 @@ def _wrap_grid(x4: np.ndarray, padding: int, kw: int) -> np.ndarray:
     return grid
 
 
+@functools.cache
+def _openblas():
+    """numpy's scipy-openblas library as loaded in this process, or None."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh
+                            if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+            get, set_ = (lib.scipy_openblas_get_num_threads64_,
+                         lib.scipy_openblas_set_num_threads64_)
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return lib
+    return None
+
+
+@functools.cache
+def _dgemm():
+    """That library's ILP64 ``cblas_dgemm``, or None where it is not exported."""
+    dgemm = getattr(_openblas(), "scipy_cblas_dgemm64_", None)
+    if dgemm is not None:
+        i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+        dgemm.argtypes = [ctypes.c_int] * 3 + [i64] * 3 + [f64, ptr, i64, ptr, i64, f64, ptr, i64]
+        dgemm.restype = None
+    return dgemm
+
+
+# CBLAS enumerators: row-major storage, no transposition.
+_ROW_MAJOR, _NO_TRANS = 101, 111
+
+
+def _blas_matrix(arr: np.ndarray) -> bool:
+    """Whether BLAS can walk ``arr`` as a row-major float64 matrix: elements of a
+    row adjacent, rows a whole number of elements apart and not overlapping.
+    Strides along an axis of extent 1 are never followed."""
+    if arr.dtype != np.float64 or arr.ndim != 2:
+        return False
+    (rows, cols), (row, col) = arr.shape, arr.strides
+    return (cols <= 1 or col == 8) and (rows <= 1 or (row % 8 == 0 and row >= 8 * cols))
+
+
+def _address(arr: np.ndarray) -> int:
+    # Unlike ``arr.ctypes``, this keeps no cache alive after the first call.
+    return arr.__array_interface__["data"][0]
+
+
+def _gemm_into(c: np.ndarray, a: np.ndarray, b: np.ndarray, beta: float) -> None:
+    """c = a @ b + beta * c, in place, for beta 0 or 1.
+
+    Each operand is a 2-D float64 array, or a basic slice of one, whose rows
+    have unit element stride; ``c`` shares no memory with ``a`` or ``b``. The
+    call is the cblas_dgemm that np.matmul makes for these operands, with
+    beta = 1 doing the addition. With an extent of 1, or without the exported
+    dgemm, it is np.matmul and ``+=``, which is what numpy computes then.
+    """
+    if beta not in (0, 1):
+        raise ValueError(f"_gemm_into takes beta 0 or 1, got {beta}")
+    for arr in (c, a, b):
+        if not _blas_matrix(arr):
+            raise ShapeError(f"_gemm_into needs 2-D float64 rows of unit stride, got "
+                             f"{arr.dtype} {arr.shape} with strides {arr.strides}")
+    (m, k), n = a.shape, b.shape[1]
+    if b.shape[0] != k or c.shape != (m, n):
+        raise ShapeError(f"_gemm_into: shapes {c.shape} = {a.shape} @ {b.shape} do not match")
+    if not c.flags.writeable:
+        raise ShapeError("_gemm_into: the output is read-only")
+    dgemm = _dgemm()
+    if dgemm is None or min(m, n, k) <= 1:
+        if beta:
+            c += a @ b
+        else:
+            np.matmul(a, b, out=c)
+        return
+    dgemm(_ROW_MAJOR, _NO_TRANS, _NO_TRANS, m, n, k, 1.0, _address(a), a.strides[0] // 8,
+          _address(b), b.strides[0] // 8, float(beta), _address(c), c.strides[0] // 8)
+
+
 # Segment length (elements per channel) for the offset GEMM loops; sized so a
 # segment of the grid plus accumulators stays cache-resident.
 _SEG = 8192
 
 
 def _offset_gemm(out2: np.ndarray, wmats, grid: np.ndarray, offsets, span: int) -> None:
-    """out2[:, q] = sum_k wmats[k] @ grid[:, q + offsets[k]], segment by segment."""
-    tmp = np.empty((out2.shape[0], min(_SEG, span)))
+    """out2[:, q] = sum_k wmats[k] @ grid[:, q + offsets[k]] for q < span, segment by
+    segment, summed in offset order."""
     for s0 in range(0, span, _SEG):
         s1 = min(s0 + _SEG, span)
-        length = s1 - s0
-        acc = out2[:, s0:s1]
         for k, (off, w) in enumerate(zip(offsets, wmats)):
-            np.matmul(w, grid[:, s0 + off : s1 + off], out=acc if k == 0 else tmp[:, :length])
-            if k:
-                acc += tmp[:, :length]
+            _gemm_into(out2[:, s0:s1], w, grid[:, s0 + off : s1 + off], beta=1 if k else 0)
 
 
-def _offset_gemm_scatter(dgrid: np.ndarray, wmats, gwin: np.ndarray, offsets, span: int,
-                         scratch: np.ndarray) -> None:
-    """dgrid[:, q + offsets[k]] += wmats[k] @ gwin[:, q], segment by segment.
-
-    The products are formed in ``scratch``, an array the caller no longer
-    reads, when it is C-contiguous and large enough.
-    """
-    shape = (dgrid.shape[0], min(_SEG, span))
-    size = shape[0] * shape[1]
-    if scratch.flags.c_contiguous and scratch.size >= size:
-        tmp = scratch.reshape(-1)[:size].reshape(shape)
-    else:
-        tmp = np.empty(shape)
+def _offset_gemm_scatter(dgrid: np.ndarray, wmats, gwin: np.ndarray, offsets, span: int) -> None:
+    """dgrid[:, q + offsets[k]] += wmats[k] @ gwin[:, q], segment by segment."""
     for s0 in range(0, span, _SEG):
         s1 = min(s0 + _SEG, span)
-        length = s1 - s0
         for off, w in zip(offsets, wmats):
-            np.matmul(w, gwin[:, s0:s1], out=tmp[:, :length])
-            dgrid[:, s0 + off : s1 + off] += tmp[:, :length]
+            _gemm_into(dgrid[:, s0 + off : s1 + off], w, gwin[:, s0:s1], beta=1)
 
 
 def _offset_gemm_outer(gwin: np.ndarray, grid: np.ndarray, offsets, span: int,
@@ -366,19 +437,17 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
     h1, w1 = hp - kh + 1, wp - kw + 1
     span = (n * hp - (kh - 1)) * wp
     wmats = [np.ascontiguousarray(wk[:, :, a, b]) for a in range(kh) for b in range(kw)]
-    acc = np.empty((c_out, span))
+    # The accumulator has the grid's geometry, so the output is a strided view
+    # of it; the cells past ``span`` are never written and never read.
+    acc = np.empty((c_out, n * hp * wp))
     _offset_gemm(acc, wmats, grid, offsets, span)
     # Only the weight gradient reads the padded input again.
     weight_grad = kernels.requires_grad
     if not weight_grad:
         grid = None
-    rows = (np.arange(n)[:, None] * hp + np.arange(0, h1, stride)[None, :]).ravel()
-    acc3 = acc.reshape(c_out, n * hp - (kh - 1), wp)
     out_h, out_w = (h1 + stride - 1) // stride, (w1 + stride - 1) // stride
     out = np.empty((n, c_out, out_h, out_w))
-    out.transpose(1, 0, 2, 3)[...] = acc3[:, rows, : w1 : stride].reshape(
-        c_out, n, out_h, out_w
-    )
+    out.transpose(1, 0, 2, 3)[...] = acc.reshape(c_out, n, hp, wp)[:, :, :h1:stride, :w1:stride]
 
     def rule(grad_out: np.ndarray) -> None:
         grad = grad_out[None] if single else grad_out
@@ -396,9 +465,7 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
         if x.requires_grad:
             dgrid = np.zeros((c_in, n * hp * wp + kw - 1))
             wmats_t = [np.ascontiguousarray(m.T) for m in wmats]
-            # gfull holds grad_out's values, and grad_out is this node's own
-            # gradient, so the scatter may overwrite it.
-            _offset_gemm_scatter(dgrid, wmats_t, gwin, offsets, span, grad_out)
+            _offset_gemm_scatter(dgrid, wmats_t, gwin, offsets, span)
             # Free the scattered output gradient before dx is allocated.
             del gfull, gview, gwin
             dview = dgrid[:, : n * hp * wp].reshape(c_in, n, hp, wp)

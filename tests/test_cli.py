@@ -42,7 +42,7 @@ from reprolab.reprogram import (
     reprogramming_loss,
     save_program,
 )
-from reprolab.tensor import replace_file
+from reprolab.tensor import _openblas, replace_file
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -279,9 +279,10 @@ class TestSweepCommand:
         assert _dir_hash(tmp_path / "parallel") == _dir_hash(tmp_path / "serial")
         assert len(read_metrics_csv(tmp_path / "parallel" / "metrics.csv")) == 4
 
-    def test_rows_equal_per_run_diagnostics(self, pipeline, tmp_path):
+    def test_rows_equal_per_run_diagnostics(self, pipeline, tmp_path, one_blas_thread):
         # The shared zero-program stage must give exactly what each run would
-        # compute alone: DA, RA, r0, rN, g_l1 and history[0].
+        # compute alone, at the sweep's one BLAS thread: DA, RA, r0, rN, g_l1
+        # and history[0].
         cfg = _tiny_config(pipeline["root"], seed=3)
         cfg.mask_outer_sizes = [10, 12, 16]
         records, _ = cmd_sweep(cfg, pipeline["model_dir"], tmp_path / "sweep")
@@ -353,7 +354,33 @@ def clean_sweep(pipeline, tmp_path_factory):
 
 
 def _blas_threads() -> int:
-    return cli._openblas().scipy_openblas_get_num_threads64_()
+    return _openblas().scipy_openblas_get_num_threads64_()
+
+
+def _at_blas_threads(count):
+    """Run the test process at ``count`` OpenBLAS threads, then restore the count."""
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    before = _blas_threads()
+    lib.scipy_openblas_set_num_threads64_(count)
+    yield
+    lib.scipy_openblas_set_num_threads64_(before)
+
+
+@pytest.fixture
+def one_blas_thread():
+    """The thread count of every sweep task, which decides a GEMM's last bits on
+    some OpenBLAS kernels (Haswell's at 2 threads)."""
+    yield from _at_blas_threads(1)
+
+
+@pytest.fixture
+def two_blas_threads():
+    if _openblas() is None:
+        pytest.skip("numpy's BLAS does not export scipy_openblas_get_num_threads64_")
+    yield from _at_blas_threads(2)
 
 
 def _mask_outer(mask) -> int:
@@ -480,14 +507,32 @@ class TestSweepTaskGraph:
         assert log.read_text().split().count("12") == 1
         self._assert_others_match(clean_sweep, out, 12)
 
-    def test_pool_caps_blas_threads(self):
-        if cli._openblas() is None:
-            pytest.skip("numpy's BLAS does not export scipy_openblas_get_num_threads64_")
-        before = _blas_threads()
+    def test_pool_caps_blas_threads(self, two_blas_threads):
         with cli._pool(None, 2) as pool:
             inside = pool.submit(_blas_threads).result()
-        assert inside == min(before, max(1, cli._cpu_count() // 2))
-        assert _blas_threads() == before
+        assert inside == 1
+        assert _blas_threads() == 2
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_serial_sweep_runs_one_blas_thread_and_restores(self, pipeline, tmp_path,
+                                                            monkeypatch, two_blas_threads, fail):
+        seen = []
+        optimize = cli.optimize_program
+
+        def logged(*args, **kwargs):
+            seen.append(_blas_threads())
+            if fail:  # not an Exception, so no per-mask failure: it ends the sweep
+                raise KeyboardInterrupt
+            return optimize(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "optimize_program", logged)
+        if fail:
+            with pytest.raises(KeyboardInterrupt):
+                self._sweep(pipeline, tmp_path / "sweep", jobs=1)
+        else:
+            self._sweep(pipeline, tmp_path / "sweep", jobs=1)
+        assert seen and set(seen) == {1}
+        assert _blas_threads() == 2
 
 
 class TestCorrelateCommand:

@@ -133,6 +133,89 @@ class TestConvLayer:
             T.conv_layer(x, k, Tensor(np.zeros(3)), 1)
 
 
+def _cwnet_conv_calls():
+    """(input shape, kernel shape, padding) of each conv2d call that a width-0.25
+    CWNet makes at 3x64x64: the tape path at batch 1, 5, 10 and 50, and the
+    framed forward's canvas and crops at batch 50."""
+    from reprolab.datasets import PadSpec, preprocess, synth_target_dataset
+    from reprolab.models import build_cwnet, forward_framed, init_weights
+
+    net = init_weights(build_cwnet((3, 64, 64), width_scale=0.25), 3)
+    images = preprocess(synth_target_dataset(5, per_class=5, size=(28, 28), family="strokes"),
+                        PadSpec((3, 64, 64), (28, 28))).images.array
+    calls = []
+    conv2d = T.conv2d
+
+    def logged(x, kernels, stride=1, padding=0):
+        calls.append((x.shape, kernels.shape, padding))
+        return conv2d(x, kernels, stride, padding)
+
+    T.conv2d = logged
+    try:
+        with no_grad():
+            for n in (1, 5, 10, 50):
+                net.forward(Tensor(images[:n]))
+            forward_framed(net, images, Tensor(np.zeros((3, 64, 64))))
+    finally:
+        T.conv2d = conv2d
+    return sorted(set(calls))
+
+
+class TestBlasPath:
+    """The dgemm path of the offset GEMMs against numpy's matmul and ``+=``."""
+
+    @pytest.fixture(scope="class")
+    def conv_calls(self):
+        if T._dgemm() is None:
+            pytest.skip("numpy's BLAS does not export scipy_cblas_dgemm64_")
+        calls = _cwnet_conv_calls()
+        assert any(padding == 0 for _, _, padding in calls)  # the framed crops ran
+        return calls + [((4, 3, 17, 15), (6, 3, 3, 3), 1), ((2, 8, 32, 32), (16, 8, 3, 3), 0)]
+
+    @staticmethod
+    def _conv_run(x_shape, k_shape, padding, stride, layer):
+        rng = np.random.default_rng(sum(x_shape) + sum(k_shape))
+        x = Tensor(rng.normal(0, 1, x_shape), requires_grad=True)
+        k = Tensor(rng.normal(0, 0.3, k_shape), requires_grad=True)
+        b = Tensor(rng.normal(0, 0.1, k_shape[0]), requires_grad=True)
+        out = (T.conv_layer(x, k, b, padding, relu=True) if layer
+               else conv2d(x, k, stride, padding))
+        backward(T.mul(out, Tensor(np.cos(np.arange(out.array.size)).reshape(out.shape))).sum())
+        return out.array, x.grad, k.grad, b.grad
+
+    @pytest.mark.parametrize("layer", [False, True])
+    def test_conv_equals_numpy_fallback_bit_for_bit(self, conv_calls, monkeypatch, layer):
+        cases = [(*call, stride) for call in conv_calls for stride in ([1] if layer else [1, 2])]
+        blas = [self._conv_run(*case, layer) for case in cases]
+        monkeypatch.setattr(T, "_dgemm", lambda: None)
+        numpy = [self._conv_run(*case, layer) for case in cases]
+        for case, got, want in zip(cases, blas, numpy, strict=True):
+            for g, w in zip(got, want):
+                assert (g is None and w is None) or np.array_equal(g, w), case
+
+    @pytest.mark.parametrize("beta", [0, 1])
+    def test_gemm_into_equals_matmul(self, rng, beta):
+        grid = rng.normal(0, 1, (5, 200))
+        a, c = rng.normal(0, 1, (7, 5)), rng.normal(0, 1, (7, 300))
+        want = c[:, 10:150] * beta + a @ grid[:, 3:143]
+        T._gemm_into(c[:, 10:150], a, grid[:, 3:143], beta)
+        assert np.array_equal(c[:, 10:150], want)
+
+    @pytest.mark.parametrize("bad", ["float32", "inner_stride", "reversed_rows"])
+    def test_gemm_into_rejects_what_blas_cannot_walk(self, rng, bad):
+        a, b, c = rng.normal(0, 1, (4, 3)), rng.normal(0, 1, (3, 12)), np.zeros((4, 6))
+        before = c.copy()
+        if bad == "float32":
+            args = (c, a.astype(np.float32), b[:, :6])
+        elif bad == "inner_stride":
+            args = (c, a, b[:, ::2])
+        else:
+            args = (c, a[::-1], b[:, :6])
+        with pytest.raises(ShapeError, match="_gemm_into"):
+            T._gemm_into(*args, beta=1)
+        assert np.array_equal(c, before)
+
+
 class TestMaxPool:
     def test_single_window(self):
         out = maxpool2d(Tensor([[[1.0, 2.0], [3.0, 4.0]]]))

@@ -72,7 +72,7 @@ from .reprogram import (
     zero_program_loss,
 )
 from .stats import permutation_pvalue
-from .tensor import _openblas, replace_file, write_json
+from .tensor import _openblas, blas_threads, replace_file, write_json
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -289,24 +289,23 @@ def _load_checkpoint(cfg: ExperimentConfig, model_dir) -> Network:
 
 
 def cmd_reprogram(cfg: ExperimentConfig, model_dir, out_dir=None) -> MetricsRecord:
+    """run_reprogram on the checkpoint at ``model_dir``, at one OpenBLAS thread
+    like every sweep task, so it gives the bytes of the sweep's row for its size."""
     net = _load_checkpoint(cfg, model_dir)
-    return run_reprogram(cfg, net, out_dir if out_dir is not None else Path(cfg.out) / "reprogram")
+    with blas_threads(1):
+        return run_reprogram(cfg, net,
+                             out_dir if out_dir is not None else Path(cfg.out) / "reprogram")
 
 
 # -- sweep ---------------------------------------------------------------------------------
 
 
-def limit_blas_threads(limit: int) -> int | None:
-    """Lower OpenBLAS's thread count to ``limit``; never raise it. Returns the
-    count found, or None, doing nothing, where numpy's BLAS does not export the
-    scipy-openblas thread functions."""
+def limit_blas_threads(limit: int) -> None:
+    """Lower OpenBLAS's thread count to ``limit``; never raise it. A no-op where
+    numpy's BLAS does not export the scipy-openblas thread functions."""
     lib = _openblas()
-    if lib is None:
-        return None
-    found = lib.scipy_openblas_get_num_threads64_()
-    if found > limit:
+    if lib is not None and lib.scipy_openblas_get_num_threads64_() > limit:
         lib.scipy_openblas_set_num_threads64_(limit)
-    return found
 
 
 @dataclass
@@ -484,12 +483,8 @@ def cmd_sweep(cfg: ExperimentConfig, model_dir, out_dir=None, jobs: int = 1) -> 
         else:
             # One BLAS thread, as in a pool worker: the thread count can decide
             # the last bits of a GEMM, and jobs must not change the bytes.
-            found = limit_blas_threads(1)
-            try:
+            with blas_threads(1):
                 _schedule(sweep, lambda task, *args: _run_now(task, sweep, *args), futures)
-            finally:
-                if found is not None:
-                    _openblas().scipy_openblas_set_num_threads64_(found)
 
     rows: dict[int, dict] = {}
     for (kind, i), future in futures.items():

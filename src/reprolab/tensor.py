@@ -274,8 +274,9 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 # zeros there, so no garbage propagates. This avoids materializing im2col
 # patch matrices (a 9x data blow-up for 3x3 kernels) entirely. BLAS adds each
 # offset's product into its destination itself (dgemm with beta = 1), which
-# rounds exactly like forming the product and adding it, so no product is
-# stored and added in a separate pass.
+# rounds exactly like forming the product and adding it while K (the channels
+# summed over) fits one OpenBLAS block. So no product is stored and added in a
+# separate pass, except past _ACC_MAX_K channels (_gemm_into).
 
 
 def _wrap_grid(x4: np.ndarray, padding: int, kw: int) -> np.ndarray:
@@ -310,6 +311,23 @@ def _openblas():
     return None
 
 
+@contextmanager
+def blas_threads(count: int):
+    """Run the body at ``count`` OpenBLAS threads, then restore the count found.
+    Does nothing where numpy's BLAS does not export the scipy-openblas thread
+    functions."""
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    found = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(count)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(found)
+
+
 @functools.cache
 def _dgemm():
     """That library's ILP64 ``cblas_dgemm``, or None where it is not exported."""
@@ -323,6 +341,13 @@ def _dgemm():
 
 # CBLAS enumerators: row-major storage, no transposition.
 _ROW_MAJOR, _NO_TRANS = 101, 111
+
+# OpenBLAS adds a product into C one block of K at a time. Past one block (K
+# above 384 with its SkylakeX kernels, above 256 with Haswell's), beta = 1
+# rounds after each block's addition, where np.matmul and ``+=`` round the
+# whole product first. Accumulating calls stay within this K, half the
+# smaller of those blocks.
+_ACC_MAX_K = 128
 
 
 def _blas_matrix(arr: np.ndarray) -> bool:
@@ -346,8 +371,9 @@ def _gemm_into(c: np.ndarray, a: np.ndarray, b: np.ndarray, beta: float) -> None
     Each operand is a 2-D float64 array, or a basic slice of one, whose rows
     have unit element stride; ``c`` shares no memory with ``a`` or ``b``. The
     call is the cblas_dgemm that np.matmul makes for these operands, with
-    beta = 1 doing the addition. With an extent of 1, or without the exported
-    dgemm, it is np.matmul and ``+=``, which is what numpy computes then.
+    beta = 1 doing the addition. With an extent of 1, with beta = 1 and K above
+    _ACC_MAX_K, or without the exported dgemm, it is np.matmul and ``+=``,
+    which is what numpy computes then.
     """
     if beta not in (0, 1):
         raise ValueError(f"_gemm_into takes beta 0 or 1, got {beta}")
@@ -361,7 +387,7 @@ def _gemm_into(c: np.ndarray, a: np.ndarray, b: np.ndarray, beta: float) -> None
     if not c.flags.writeable:
         raise ShapeError("_gemm_into: the output is read-only")
     dgemm = _dgemm()
-    if dgemm is None or min(m, n, k) <= 1:
+    if dgemm is None or min(m, n, k) <= 1 or (beta and k > _ACC_MAX_K):
         if beta:
             c += a @ b
         else:

@@ -10,7 +10,15 @@ import pytest
 import yaml
 
 import reprolab.cli as cli
-from reprolab.cli import _target_sets, cmd_correlate, cmd_sweep, cmd_train, main, run_reprogram
+from reprolab.cli import (
+    _target_sets,
+    cmd_correlate,
+    cmd_reprogram,
+    cmd_sweep,
+    cmd_train,
+    main,
+    run_reprogram,
+)
 from reprolab.config import (
     DatasetSpec,
     ExperimentConfig,
@@ -42,7 +50,7 @@ from reprolab.reprogram import (
     reprogramming_loss,
     save_program,
 )
-from reprolab.tensor import _openblas, replace_file
+from reprolab.tensor import _openblas, blas_threads, replace_file
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -279,10 +287,11 @@ class TestSweepCommand:
         assert _dir_hash(tmp_path / "parallel") == _dir_hash(tmp_path / "serial")
         assert len(read_metrics_csv(tmp_path / "parallel" / "metrics.csv")) == 4
 
-    def test_rows_equal_per_run_diagnostics(self, pipeline, tmp_path, one_blas_thread):
+    def test_rows_equal_per_run_diagnostics(self, pipeline, tmp_path):
         # The shared zero-program stage must give exactly what each run would
-        # compute alone, at the sweep's one BLAS thread: DA, RA, r0, rN, g_l1
-        # and history[0].
+        # compute alone: a lone `reprogram` run of that size, at this process's
+        # BLAS thread count, and DA, RA, r0, rN, g_l1 and history[0] from the
+        # diagnostics functions at the one thread both commands run their GEMMs at.
         cfg = _tiny_config(pipeline["root"], seed=3)
         cfg.mask_outer_sizes = [10, 12, 16]
         records, _ = cmd_sweep(cfg, pipeline["model_dir"], tmp_path / "sweep")
@@ -291,16 +300,25 @@ class TestSweepCommand:
         cm = build_class_map(10, "first-ten", 10)
         zero = np.zeros((3, 16, 16))
         for size, record in zip(cfg.mask_outer_sizes, records):
+            run, alone_dir = tmp_path / "sweep" / f"mask_{size}", tmp_path / f"alone_{size}"
+            alone = cmd_reprogram(replace(cfg, mask_outer_size=size), pipeline["model_dir"],
+                                  alone_dir)
+            # Only the config hash differs: it names the one-size config.
+            assert replace(alone, config_hash=record.config_hash) == record
+            for name in ("program/delta.tnsr", "confusion_before.csv", "confusion_after.csv"):
+                assert (alone_dir / name).read_bytes() == (run / name).read_bytes(), name
             mask = build_frame_mask((3, 16, 16), (8, 8), size)
-            prog, _ = load_program(tmp_path / "sweep" / f"mask_{size}" / "program")
+            prog, _ = load_program(run / "program")
+            assert load_program(alone_dir / "program")[0].history == prog.history
             offset = prog.delta * mask.array
-            [(r0, g_l1)] = alignment_stats(net, eval_set, zero, [mask], cm)
-            [(rn, _)] = alignment_stats(net, eval_set, offset, [mask], cm)
-            assert (record.da, record.ra, record.r0, record.rn, record.g_l1) == (
-                domain_alignment(net, metrics_set, cm),
-                reprogramming_accuracy(net, metrics_set, offset, cm), r0, rn, g_l1)
-            assert prog.history[0] == reprogramming_loss(
-                net, eval_set.images.array, eval_set.labels, zero, mask, cm)
+            with blas_threads(1):
+                [(r0, g_l1)] = alignment_stats(net, eval_set, zero, [mask], cm)
+                [(rn, _)] = alignment_stats(net, eval_set, offset, [mask], cm)
+                assert (record.da, record.ra, record.r0, record.rn, record.g_l1) == (
+                    domain_alignment(net, metrics_set, cm),
+                    reprogramming_accuracy(net, metrics_set, offset, cm), r0, rn, g_l1)
+                assert prog.history[0] == reprogramming_loss(
+                    net, eval_set.images.array, eval_set.labels, zero, mask, cm)
 
     def test_parallel_same_bytes_on_the_framed_path(self, tmp_path):
         # At 16x16 the grown image window reaches the border and every forward
@@ -357,30 +375,12 @@ def _blas_threads() -> int:
     return _openblas().scipy_openblas_get_num_threads64_()
 
 
-def _at_blas_threads(count):
-    """Run the test process at ``count`` OpenBLAS threads, then restore the count."""
-    lib = _openblas()
-    if lib is None:
-        yield
-        return
-    before = _blas_threads()
-    lib.scipy_openblas_set_num_threads64_(count)
-    yield
-    lib.scipy_openblas_set_num_threads64_(before)
-
-
-@pytest.fixture
-def one_blas_thread():
-    """The thread count of every sweep task, which decides a GEMM's last bits on
-    some OpenBLAS kernels (Haswell's at 2 threads)."""
-    yield from _at_blas_threads(1)
-
-
 @pytest.fixture
 def two_blas_threads():
     if _openblas() is None:
         pytest.skip("numpy's BLAS does not export scipy_openblas_get_num_threads64_")
-    yield from _at_blas_threads(2)
+    with blas_threads(2):
+        yield
 
 
 def _mask_outer(mask) -> int:
@@ -513,9 +513,18 @@ class TestSweepTaskGraph:
         assert inside == 1
         assert _blas_threads() == 2
 
+    @pytest.mark.parametrize("command", ["sweep", "reprogram"])
     @pytest.mark.parametrize("fail", [False, True])
-    def test_serial_sweep_runs_one_blas_thread_and_restores(self, pipeline, tmp_path,
-                                                            monkeypatch, two_blas_threads, fail):
+    def test_serial_commands_run_one_blas_thread_and_restore(self, pipeline, tmp_path,
+                                                             monkeypatch, two_blas_threads,
+                                                             command, fail):
+        if command == "sweep":
+            def run():
+                self._sweep(pipeline, tmp_path / "sweep", jobs=1)
+        else:
+            def run():
+                cfg = replace(_tiny_config(pipeline["root"], seed=3), mask_outer_size=12)
+                cmd_reprogram(cfg, pipeline["model_dir"], tmp_path / "reprogram")
         seen = []
         optimize = cli.optimize_program
 
@@ -528,9 +537,9 @@ class TestSweepTaskGraph:
         monkeypatch.setattr(cli, "optimize_program", logged)
         if fail:
             with pytest.raises(KeyboardInterrupt):
-                self._sweep(pipeline, tmp_path / "sweep", jobs=1)
+                run()
         else:
-            self._sweep(pipeline, tmp_path / "sweep", jobs=1)
+            run()
         assert seen and set(seen) == {1}
         assert _blas_threads() == 2
 

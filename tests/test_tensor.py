@@ -170,7 +170,10 @@ class TestBlasPath:
             pytest.skip("numpy's BLAS does not export scipy_cblas_dgemm64_")
         calls = _cwnet_conv_calls()
         assert any(padding == 0 for _, _, padding in calls)  # the framed crops ran
-        return calls + [((4, 3, 17, 15), (6, 3, 3, 3), 1), ((2, 8, 32, 32), (16, 8, 3, 3), 0)]
+        # Two odd shapes, and 400 channels: past one OpenBLAS K block on both
+        # the SkylakeX (384) and the Haswell (256) kernels.
+        return calls + [((4, 3, 17, 15), (6, 3, 3, 3), 1), ((2, 8, 32, 32), (16, 8, 3, 3), 0),
+                        ((1, 400, 6, 6), (400, 400, 3, 3), 1)]
 
     @staticmethod
     def _conv_run(x_shape, k_shape, padding, stride, layer):
@@ -200,6 +203,14 @@ class TestBlasPath:
         want = c[:, 10:150] * beta + a @ grid[:, 3:143]
         T._gemm_into(c[:, 10:150], a, grid[:, 3:143], beta)
         assert np.array_equal(c[:, 10:150], want)
+
+    @pytest.mark.parametrize("k", [T._ACC_MAX_K, 320, 400])
+    def test_gemm_into_adds_like_matmul_at_any_k(self, rng, k):
+        # Past the accumulating bound it adds the finished product, like ``+=``.
+        a, b, c = rng.normal(0, 1, (16, k)), rng.normal(0, 1, (k, 700)), rng.normal(0, 1, (16, 700))
+        want = c + a @ b
+        T._gemm_into(c, a, b, 1)
+        assert np.array_equal(c, want)
 
     @pytest.mark.parametrize("bad", ["float32", "inner_stride", "reversed_rows"])
     def test_gemm_into_rejects_what_blas_cannot_walk(self, rng, bad):

@@ -116,7 +116,9 @@ def _pad_spec(cfg: ExperimentConfig, spec: DatasetSpec) -> PadSpec:
 
 
 def cmd_train(cfg: ExperimentConfig, out_dir=None) -> Path:
-    """Train (or initialize, for the untrained condition) the source model."""
+    """Train (or initialize, for the untrained condition) the source model, at one
+    OpenBLAS thread like every sweep task, so the checkpoint's bytes do not
+    depend on the caller's thread count."""
     out_dir = Path(out_dir if out_dir is not None else Path(cfg.out) / "model")
     out_dir.mkdir(parents=True, exist_ok=True)
     net = build_cwnet(
@@ -138,8 +140,9 @@ def cmd_train(cfg: ExperimentConfig, out_dir=None) -> Path:
         train_ds = preprocess(raw_train, pad)
         test_ds = preprocess(raw_test, pad)
         net.set_input_standardization(train_ds)
-        net, history = train_sgd(net, train_ds, replace(cfg.train, seed=cfg.seed))
-        test_accuracy = accuracy(net, test_ds)
+        with blas_threads(1):
+            net, history = train_sgd(net, train_ds, replace(cfg.train, seed=cfg.seed))
+            test_accuracy = accuracy(net, test_ds)
 
     save_model(net, out_dir)
     losses = [["epoch", "mean_loss"]] + [[i, repr(value)] for i, value in enumerate(history)]

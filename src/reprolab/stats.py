@@ -7,7 +7,7 @@ the exact count / n! instead (the identity permutation guarantees p > 0).
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 
@@ -126,6 +126,22 @@ def _row_kernel(method: str, x: np.ndarray, y: np.ndarray):
     return (lambda perms: (sy[perms[:, i], perms[:, j]] @ dx) / denominator), len(i)
 
 
+@functools.cache
+def _permutation_table(n: int) -> np.ndarray:
+    """All n! permutations of range(n), n >= 1, as read-only rows in
+    lexicographic order (the order of itertools.permutations)."""
+    table = np.zeros((1, 1), dtype=np.int64)
+    for m in range(2, n + 1):
+        # Permutations of range(m) starting with i are i followed by those of
+        # range(m - 1), relabelled onto range(m) without i: j -> j + (j >= i).
+        rest = np.arange(m - 1)
+        relabel = rest + (rest >= np.arange(m)[:, None])
+        table = np.column_stack([np.repeat(np.arange(m), len(table)),
+                                 relabel[:, table].reshape(-1, m - 1)])
+    table.flags.writeable = False
+    return table
+
+
 def _count_extreme(fn, kernel, x, y, perms: np.ndarray, threshold: float) -> int:
     """Rows of ``perms`` whose |coefficient| reaches ``threshold``."""
     extreme = np.abs(kernel(perms))
@@ -161,7 +177,7 @@ def permutation_pvalue(x, y, method: str = "pearson", n_permutations: int = 1000
     if exhaustive:
         if n > 8:
             raise ConfigurationError(f"exhaustive enumeration limited to n <= 8, got {n}")
-        perms = np.array(list(itertools.permutations(range(n))))
+        perms = _permutation_table(n)
         count = sum(_count_extreme(fn, kernel, x, y, perms[start:start + block], threshold)
                     for start in range(0, len(perms), block))
         return CorrelationResult(method, observed, count / len(perms), len(perms), seed)

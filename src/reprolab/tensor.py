@@ -39,6 +39,32 @@ _node_ids = itertools.count()
 # (sweeps run in processes), so one flag per process suffices.
 _recording = True
 
+# glibc serves a block of M_MMAP_THRESHOLD bytes or more from a mapping of its
+# own, unmapped on free, and returns the heap's free top to the kernel once it
+# exceeds M_TRIM_THRESHOLD. A batch-50 step frees about 30 MB of tape arrays and
+# allocates them again on the next step, so under the defaults each step faults
+# those pages back in. Both thresholds are raised: setting one fixes the other
+# at its default (glibc stops adapting them), which faults more than neither.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_KEEP_BYTES = 64 << 20
+
+
+def _keep_heap_pages(libc) -> bool:
+    """Raise both thresholds to _HEAP_KEEP_BYTES through ``libc``'s mallopt;
+    whether both took. The trim threshold is set only once the mmap threshold
+    took. Does nothing where ``libc`` has no mallopt."""
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return (mallopt(_M_MMAP_THRESHOLD, _HEAP_KEEP_BYTES) == 1
+            and mallopt(_M_TRIM_THRESHOLD, _HEAP_KEEP_BYTES) == 1)
+
+
+# Set at import, so every process that computes with reprolab has it: forked
+# workers inherit it and spawned ones import this module.
+_keep_heap_pages(ctypes.CDLL(None) if os.name == "posix" else None)
+
 
 @contextmanager
 def no_grad():
@@ -276,7 +302,7 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 # offset's product into its destination itself (dgemm with beta = 1), which
 # rounds exactly like forming the product and adding it while K (the channels
 # summed over) fits one OpenBLAS block. So no product is stored and added in a
-# separate pass, except past _ACC_MAX_K channels (_gemm_into).
+# separate pass, except past _ACC_MAX_K channels (_gemm_loop).
 
 
 def _wrap_grid(x4: np.ndarray, padding: int, kw: int) -> np.ndarray:
@@ -365,58 +391,82 @@ def _address(arr: np.ndarray) -> int:
     return arr.__array_interface__["data"][0]
 
 
-def _gemm_into(c: np.ndarray, a: np.ndarray, b: np.ndarray, beta: float) -> None:
-    """c = a @ b + beta * c, in place, for beta 0 or 1.
-
-    Each operand is a 2-D float64 array, or a basic slice of one, whose rows
-    have unit element stride; ``c`` shares no memory with ``a`` or ``b``. The
-    call is the cblas_dgemm that np.matmul makes for these operands, with
-    beta = 1 doing the addition. With an extent of 1, with beta = 1 and K above
-    _ACC_MAX_K, or without the exported dgemm, it is np.matmul and ``+=``,
-    which is what numpy computes then.
-    """
-    if beta not in (0, 1):
-        raise ValueError(f"_gemm_into takes beta 0 or 1, got {beta}")
-    for arr in (c, a, b):
-        if not _blas_matrix(arr):
-            raise ShapeError(f"_gemm_into needs 2-D float64 rows of unit stride, got "
-                             f"{arr.dtype} {arr.shape} with strides {arr.strides}")
-    (m, k), n = a.shape, b.shape[1]
-    if b.shape[0] != k or c.shape != (m, n):
-        raise ShapeError(f"_gemm_into: shapes {c.shape} = {a.shape} @ {b.shape} do not match")
-    if not c.flags.writeable:
-        raise ShapeError("_gemm_into: the output is read-only")
-    dgemm = _dgemm()
-    if dgemm is None or min(m, n, k) <= 1 or (beta and k > _ACC_MAX_K):
-        if beta:
-            c += a @ b
-        else:
-            np.matmul(a, b, out=c)
-        return
-    dgemm(_ROW_MAJOR, _NO_TRANS, _NO_TRANS, m, n, k, 1.0, _address(a), a.strides[0] // 8,
-          _address(b), b.strides[0] // 8, float(beta), _address(c), c.strides[0] // 8)
-
-
 # Segment length (elements per channel) for the offset GEMM loops; sized so a
 # segment of the grid plus accumulators stays cache-resident.
 _SEG = 8192
 
 
+def _gemm_loop(c: np.ndarray, mats, b: np.ndarray, span: int,
+               c_offsets, b_offsets, betas) -> None:
+    """One offset loop of GEMMs, in place: for each _SEG-column segment [s0, s1)
+    of [0, span), then for each k in order,
+    c[:, s0 + c_offsets[k] : s1 + c_offsets[k]] =
+        mats[k] @ b[:, s0 + b_offsets[k] : s1 + b_offsets[k]] + betas[k] * (that slice of c),
+    for betas of 0 or 1.
+
+    ``c``, ``b`` and every ``mats[k]`` are 2-D float64 arrays, or basic slices
+    of them, whose rows have unit element stride; ``c`` shares no memory with
+    the others. Shapes, strides, writability and every column range, shifted
+    by the largest offset, are checked once for the loop, before any call.
+    Each call is the cblas_dgemm that np.matmul makes for that segment's
+    operands, with beta = 1 doing the addition, issued from the arrays' base
+    addresses plus element offsets. With an extent of 1, with beta = 1 and K
+    above _ACC_MAX_K, or without the exported dgemm, the call is np.matmul
+    and ``+=`` on the segment's views, which is what numpy computes then.
+    """
+    if not len(mats) == len(c_offsets) == len(b_offsets) == len(betas):
+        raise ValueError("_gemm_loop takes one offset pair and beta per matrix")
+    if any(beta not in (0, 1) for beta in betas):
+        raise ValueError(f"_gemm_loop takes betas 0 or 1, got {list(betas)}")
+    for arr in (c, b, *mats):
+        if not _blas_matrix(arr):
+            raise ShapeError(f"_gemm_loop needs 2-D float64 rows of unit stride, got "
+                             f"{arr.dtype} {arr.shape} with strides {arr.strides}")
+    m, k = c.shape[0], b.shape[0]
+    if any(a.shape != (m, k) for a in mats):
+        raise ShapeError(f"_gemm_loop: shapes {c.shape} = {[a.shape for a in mats]} @ {b.shape} "
+                         "do not match")
+    if not c.flags.writeable:
+        raise ShapeError("_gemm_loop: the output is read-only")
+    # dgemm walks raw addresses, which numpy's bounds checks never see.
+    for name, arr, offsets in (("output", c, c_offsets), ("operand", b, b_offsets)):
+        if span < 0 or min(offsets) < 0 or span + max(offsets) > arr.shape[1]:
+            raise ShapeError(f"_gemm_loop: columns [{min(offsets)}, {span + max(offsets)}) run "
+                             f"past the {arr.shape[1]}-column {name}")
+    dgemm = _dgemm()
+    calls = [(a, _address(a), a.strides[0] // 8, int(co), int(bo), float(beta),
+              bool(beta) and k > _ACC_MAX_K)
+             for a, co, bo, beta in zip(mats, c_offsets, b_offsets, betas)]
+    pc, ldc, pb, ldb = _address(c), c.strides[0] // 8, _address(b), b.strides[0] // 8
+    for s0 in range(0, span, _SEG):
+        n = min(_SEG, span - s0)
+        blas = dgemm is not None and min(m, n, k) > 1
+        for a, pa, lda, co, bo, beta, past_block in calls:
+            if blas and not past_block:
+                dgemm(_ROW_MAJOR, _NO_TRANS, _NO_TRANS, m, n, k, 1.0, pa, lda,
+                      pb + 8 * (s0 + bo), ldb, beta, pc + 8 * (s0 + co), ldc)
+            elif beta:
+                c[:, s0 + co : s0 + co + n] += a @ b[:, s0 + bo : s0 + bo + n]
+            else:
+                np.matmul(a, b[:, s0 + bo : s0 + bo + n], out=c[:, s0 + co : s0 + co + n])
+
+
+def _gemm_into(c: np.ndarray, a: np.ndarray, b: np.ndarray, beta: float) -> None:
+    """c = a @ b + beta * c, in place, for beta 0 or 1: _gemm_loop's one-offset
+    case, one call per _SEG columns."""
+    _gemm_loop(c, (a,), b, c.shape[1], (0,), (0,), (beta,))
+
+
 def _offset_gemm(out2: np.ndarray, wmats, grid: np.ndarray, offsets, span: int) -> None:
     """out2[:, q] = sum_k wmats[k] @ grid[:, q + offsets[k]] for q < span, segment by
     segment, summed in offset order."""
-    for s0 in range(0, span, _SEG):
-        s1 = min(s0 + _SEG, span)
-        for k, (off, w) in enumerate(zip(offsets, wmats)):
-            _gemm_into(out2[:, s0:s1], w, grid[:, s0 + off : s1 + off], beta=1 if k else 0)
+    _gemm_loop(out2, wmats, grid, span, [0] * len(offsets), offsets,
+               [0] + [1] * (len(offsets) - 1))
 
 
 def _offset_gemm_scatter(dgrid: np.ndarray, wmats, gwin: np.ndarray, offsets, span: int) -> None:
     """dgrid[:, q + offsets[k]] += wmats[k] @ gwin[:, q], segment by segment."""
-    for s0 in range(0, span, _SEG):
-        s1 = min(s0 + _SEG, span)
-        for off, w in zip(offsets, wmats):
-            _gemm_into(dgrid[:, s0 + off : s1 + off], w, gwin[:, s0:s1], beta=1)
+    _gemm_loop(dgrid, wmats, gwin, span, offsets, [0] * len(offsets), [1] * len(offsets))
 
 
 def _offset_gemm_outer(gwin: np.ndarray, grid: np.ndarray, offsets, span: int,

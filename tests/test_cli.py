@@ -163,6 +163,28 @@ class TestTrainCommand:
         h2 = _dir_hash(cmd_train(cfg2))
         assert h1 == h2
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_checkpoint_bytes_do_not_depend_on_blas_threads(self, tmp_path, two_blas_threads,
+                                                            seed):
+        # At 3x64x64 inputs OpenBLAS splits some conv GEMMs over two threads,
+        # and a split can round differently: seed 1 trained to other bytes at the
+        # caller's 2 threads than at 1 before training was pinned to one thread.
+        cfg = replace(_tiny_config(tmp_path, seed=seed),
+                      source=DatasetSpec(kind="synthetic", family="strokes", per_class=5,
+                                         test_per_class=2, image_size=(28, 28),
+                                         noise_amplitude=70.0),
+                      model=ModelSpec(input_shape=(3, 64, 64), width_scale=0.25, trained=True))
+        two = cmd_train(cfg, tmp_path / "two")
+        assert _blas_threads() == 2
+        with blas_threads(1):
+            one = cmd_train(cfg, tmp_path / "one")
+        files = sorted(str(f.relative_to(one)) for f in one.rglob("*") if f.is_file())
+        assert {"training_loss.csv", "summary.json"} < set(files)
+        assert any(name.startswith("params") for name in files)
+        assert sorted(str(f.relative_to(two)) for f in two.rglob("*") if f.is_file()) == files
+        for name in files:
+            assert (two / name).read_bytes() == (one / name).read_bytes(), name
+
     def test_missing_idx_path_is_actionable(self, tmp_path):
         cfg = _tiny_config(tmp_path)
         cfg.source = DatasetSpec(kind="idx", images=str(tmp_path / "none.idx"),
@@ -513,7 +535,7 @@ class TestSweepTaskGraph:
         assert inside == 1
         assert _blas_threads() == 2
 
-    @pytest.mark.parametrize("command", ["sweep", "reprogram"])
+    @pytest.mark.parametrize("command", ["sweep", "reprogram", "train"])
     @pytest.mark.parametrize("fail", [False, True])
     def test_serial_commands_run_one_blas_thread_and_restore(self, pipeline, tmp_path,
                                                              monkeypatch, two_blas_threads,
@@ -521,12 +543,16 @@ class TestSweepTaskGraph:
         if command == "sweep":
             def run():
                 self._sweep(pipeline, tmp_path / "sweep", jobs=1)
-        else:
+        elif command == "reprogram":
             def run():
                 cfg = replace(_tiny_config(pipeline["root"], seed=3), mask_outer_size=12)
                 cmd_reprogram(cfg, pipeline["model_dir"], tmp_path / "reprogram")
+        else:
+            def run():
+                cmd_train(_tiny_config(tmp_path), tmp_path / "model")
         seen = []
-        optimize = cli.optimize_program
+        step = "train_sgd" if command == "train" else "optimize_program"
+        optimize = getattr(cli, step)
 
         def logged(*args, **kwargs):
             seen.append(_blas_threads())
@@ -534,7 +560,7 @@ class TestSweepTaskGraph:
                 raise KeyboardInterrupt
             return optimize(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "optimize_program", logged)
+        monkeypatch.setattr(cli, step, logged)
         if fail:
             with pytest.raises(KeyboardInterrupt):
                 run()

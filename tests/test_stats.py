@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reprolab.errors import ConfigurationError, DegenerateDataError
-from reprolab.stats import CorrelationResult, kendall_tau, pearson, permutation_pvalue, spearman
+from reprolab.stats import (
+    CorrelationResult,
+    _permutation_table,
+    kendall_tau,
+    pearson,
+    permutation_pvalue,
+    spearman,
+)
 
 from oracles import (
     kendall_tau_b_loops,
@@ -212,6 +219,12 @@ class TestArrayPassesMatchLoop:
         got = permutation_pvalue(x, y, method="pearson", exhaustive=True)
         assert got.n_permutations == 40320
         assert got.p_value == permutation_pvalue_loop(x, y, pearson)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_permutation_table_is_itertools_order(self, n):
+        table = _permutation_table(n)
+        assert np.array_equal(table, np.array(list(itertools.permutations(range(n)))))
+        assert not table.flags.writeable and _permutation_table(n) is table
 
     @pytest.mark.parametrize("method, n", [("pearson", 5000), ("kendall", 200)])
     def test_sampled_across_blocks(self, rng, method, n):

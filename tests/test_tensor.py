@@ -1,3 +1,8 @@
+import ctypes
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -170,10 +175,11 @@ class TestBlasPath:
             pytest.skip("numpy's BLAS does not export scipy_cblas_dgemm64_")
         calls = _cwnet_conv_calls()
         assert any(padding == 0 for _, _, padding in calls)  # the framed crops ran
-        # Two odd shapes, and 400 channels: past one OpenBLAS K block on both
-        # the SkylakeX (384) and the Haswell (256) kernels.
+        # Two odd shapes; a span of (63 * 9 - 2) * 29 = 2 * _SEG + 1 columns, whose
+        # last segment has one column; and 400 channels: past one OpenBLAS K
+        # block on both the SkylakeX (384) and the Haswell (256) kernels.
         return calls + [((4, 3, 17, 15), (6, 3, 3, 3), 1), ((2, 8, 32, 32), (16, 8, 3, 3), 0),
-                        ((1, 400, 6, 6), (400, 400, 3, 3), 1)]
+                        ((63, 2, 7, 27), (3, 2, 3, 3), 1), ((1, 400, 6, 6), (400, 400, 3, 3), 1)]
 
     @staticmethod
     def _conv_run(x_shape, k_shape, padding, stride, layer):
@@ -222,9 +228,86 @@ class TestBlasPath:
             args = (c, a, b[:, ::2])
         else:
             args = (c, a[::-1], b[:, :6])
-        with pytest.raises(ShapeError, match="_gemm_into"):
+        with pytest.raises(ShapeError, match="_gemm_loop"):
             T._gemm_into(*args, beta=1)
         assert np.array_equal(c, before)
+
+    @pytest.mark.parametrize("past", ["operand_end", "output_end", "negative_offset"])
+    def test_column_range_past_an_array_raises_before_any_dgemm(self, rng, monkeypatch, past):
+        calls = []
+        monkeypatch.setattr(T, "_dgemm", lambda: lambda *args: calls.append(args))
+        grid, c = rng.normal(0, 1, (3, 102)), np.zeros((4, 102))
+        mats = [rng.normal(0, 1, (4, 3)) for _ in range(2)]
+        # In bounds, both loops reach dgemm: each offset is one call per segment.
+        T._offset_gemm(c, mats, grid, [0, 2], 100)
+        T._offset_gemm_scatter(c, mats, grid, [0, 2], 100)
+        assert len(calls) == 4
+        calls.clear()
+        with pytest.raises(ShapeError, match="run past"):
+            if past == "operand_end":
+                T._offset_gemm(c, mats, grid, [0, 3], 100)
+            elif past == "output_end":
+                T._offset_gemm_scatter(c, mats, grid, [0, 3], 100)
+            else:
+                T._offset_gemm(c, mats, grid, [-1, 2], 100)
+        assert calls == []
+        assert not c.any()
+
+
+class TestHeapPages:
+    """reprolab.tensor raises glibc's mmap and trim thresholds at import."""
+
+    class _Libc:
+        def __init__(self, *results):
+            self.results, self.calls = list(results), []
+
+            def mallopt(param, value):
+                self.calls.append((param, value))
+                return self.results.pop(0)
+
+            self.mallopt = mallopt
+
+    def test_sets_both_thresholds_and_is_idempotent(self):
+        libc = self._Libc(1, 1, 1, 1)
+        assert T._keep_heap_pages(libc) and T._keep_heap_pages(libc)
+        assert libc.calls == [(T._M_MMAP_THRESHOLD, 64 << 20), (T._M_TRIM_THRESHOLD, 64 << 20)] * 2
+
+    def test_trim_threshold_waits_for_the_mmap_threshold(self):
+        libc = self._Libc(0)
+        assert not T._keep_heap_pages(libc)
+        assert libc.calls == [(T._M_MMAP_THRESHOLD, 64 << 20)]
+
+    def test_no_op_without_mallopt(self):
+        assert not T._keep_heap_pages(None)
+        assert not T._keep_heap_pages(object())
+
+    def test_freed_arrays_come_back_without_page_faults(self):
+        # Idempotent, so this probes whether this libc takes the setting.
+        if not T._keep_heap_pages(ctypes.CDLL(None)):
+            pytest.skip("this libc has no mallopt or refuses a 64 MB threshold")
+        # A fresh process: glibc's adaptive thresholds depend on what the process
+        # freed before, and this one has freed large arrays already.
+        script = """
+import resource
+import numpy as np
+import reprolab.tensor
+
+def step():
+    # 20 arrays of 1.5 MB, about the tape of a batch-50 conv layer.
+    return [np.ones(3 << 16) for _ in range(20)]
+
+step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+step()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+        src = os.path.dirname(os.path.dirname(T.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        faults = int(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                    capture_output=True, text=True).stdout)
+        # Under glibc's defaults this step faults in all of its 7680 pages again.
+        assert faults < 7680 // 10
 
 
 class TestMaxPool:

@@ -1,9 +1,14 @@
 """Dataset ingestion, synthesis, and preprocessing.
 
 Raw datasets carry pixel values in [0, 255]; ``preprocess`` rescales to
-[-1, 1], embeds the image in a zero field of the model's input size, and
-replicates grayscale content across channels. The frame around the embedded
-image is exactly 0, which the reprogramming mask later relies on.
+[-1, 1] and keeps the image at its own size and channel count. The network
+sees it centred in a zero frame of its input size, with a single channel
+repeated across the input's channels (``window_origin``, ``embed``). The
+framed forward reads the stored image where it sits; a network-size array is
+built only where a computation needs one (a tape-path batch, an alignment
+chunk, the standardization fit). The frame is exactly 0 by construction,
+which the reprogramming mask relies on. Images of the network's input shape
+sit at the origin.
 """
 
 from __future__ import annotations
@@ -23,12 +28,18 @@ _IDX_LABELS_MAGIC = 0x00000801
 
 @dataclass
 class LabeledDataset:
-    """Images (n, C, H, W) with integer labels in [0, num_classes)."""
+    """Images (n, c, h, w) with integer labels in [0, num_classes).
+
+    ``pad`` is the network input the images were preprocessed for, which reads
+    each image centred in its zero frame (``embed``); None when the images
+    have the input's shape themselves, or are raw.
+    """
 
     images: Tensor
     labels: np.ndarray
     num_classes: int
     name: str = ""
+    pad: PadSpec | None = None
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
@@ -38,6 +49,13 @@ class LabeledDataset:
             raise ConsistencyError(
                 f"{self.images.shape[0]} images but {len(self.labels)} labels"
             )
+        if self.pad is not None:
+            window_origin(self.images.shape[1:], self.pad.target_size)
+
+    @property
+    def input_shape(self) -> tuple[int, ...]:
+        """The (C, H, W) network input the images are for."""
+        return tuple(self.pad.target_size) if self.pad is not None else self.images.shape[1:]
 
     def __len__(self) -> int:
         return self.images.shape[0]
@@ -49,6 +67,7 @@ class LabeledDataset:
             labels=self.labels[idx],
             num_classes=self.num_classes,
             name=self.name if name is None else name,
+            pad=self.pad,
         )
 
 
@@ -124,30 +143,58 @@ def write_idx(ds: LabeledDataset, images_path, labels_path) -> None:
                                         ds.labels.astype(np.uint8)]))
 
 
-def preprocess(ds: LabeledDataset, spec: PadSpec) -> LabeledDataset:
-    """Rescale raw pixels to [-1, 1] and center them in a zero frame.
+def window_origin(window: tuple[int, int, int],
+                  input_shape: tuple[int, int, int]) -> tuple[int, int]:
+    """Top-left (row, col) of a (c, h, w) image centred in a (C, H, W) network input.
 
-    Single-channel content is replicated across the target channel count; the
-    frame region is exactly 0 after embedding.
+    ShapeError unless the image fits and has 1 or C channels. An image of the
+    input's own shape sits at (0, 0).
+    """
+    c, h, w = window
+    channels, height, width = input_shape
+    if c not in (1, channels) or h > height or w > width:
+        raise ShapeError(f"a {c}x{h}x{w} image does not fit a {channels}x{height}x{width} input")
+    return (height - h) // 2, (width - w) // 2
+
+
+def embed(images: np.ndarray, input_shape: tuple[int, int, int]) -> np.ndarray:
+    """The network-size array (n, C, H, W) of the (n, c, h, w) ``images``.
+
+    Each image sits at window_origin in a zero frame, a single channel
+    repeated across the C channels; ``images`` itself when it already has
+    the input's shape.
+    """
+    if images.shape[1:] == tuple(input_shape):
+        return images
+    row, col = window_origin(images.shape[1:], input_shape)
+    _, _, h, w = images.shape
+    out = np.zeros((len(images), *input_shape))
+    out[:, :, row : row + h, col : col + w] = images
+    return out
+
+
+def preprocess(ds: LabeledDataset, spec: PadSpec) -> LabeledDataset:
+    """Rescale raw pixels to [-1, 1] for a network input of ``spec.target_size``.
+
+    The images keep their own (h, w) and channel count, which must be 1 or
+    the target's; nothing of the zero frame is stored. The network reads each
+    image centred in that frame with a single channel repeated (``embed``).
     """
     arr = ds.images.array
     if arr.min() < 0 or arr.max() > 255:
         raise ConfigurationError("preprocess expects raw pixels in [0, 255]")
-    n, c_in, ih, iw = arr.shape
+    _, c_in, ih, iw = arr.shape
     if (ih, iw) != tuple(spec.inner_size):
         raise ShapeError(f"images are {ih}x{iw} but the pad spec expects {spec.inner_size}")
-    c, height, width = spec.target_size
+    c = spec.target_size[0]
     if c_in not in (1, c):
         raise ShapeError(f"cannot map {c_in} channels onto {c}")
 
-    scaled = arr / 127.5 - 1.0
-    if c_in == 1 and c > 1:
-        scaled = np.repeat(scaled, c, axis=1)
-    out = np.zeros((n, c, height, width))
-    row, col = (height - ih) // 2, (width - iw) // 2
-    out[:, :, row : row + ih, col : col + iw] = scaled
+    scaled = arr / 127.5
+    scaled -= 1.0
     return LabeledDataset(
-        images=Tensor(out), labels=ds.labels.copy(), num_classes=ds.num_classes, name=ds.name
+        images=Tensor(scaled), labels=ds.labels.copy(), num_classes=ds.num_classes,
+        name=ds.name, pad=spec,
     )
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .datasets import LabeledDataset
+from .datasets import LabeledDataset, embed
 from .errors import ConfigurationError, SchemaError
 from .models import Network, _predict_chunks, accuracy
 # Not called here, but perfbench/spans.py wraps it where diagnostics would look it up.
@@ -202,16 +202,18 @@ def alignment_stats(net, dataset: LabeledDataset, offset: np.ndarray, masks: lis
     is zero for every mask, so all masks share one input gradient per chunk
     and each selects its own coordinates; an optimized program passes its
     offset with its one mask. The gradients come in chunks of about
-    _CHUNK_ELEMENTS input elements; each mask's gradient sum and norm sum
-    accumulate over the chunks.
+    _CHUNK_ELEMENTS network input elements, each chunk's images built at the
+    input's size (datasets.embed) for its backward; each mask's gradient sum
+    and norm sum accumulate over the chunks.
     """
     images = dataset.images.array
-    chunk = max(1, _CHUNK_ELEMENTS // int(np.prod(images.shape[1:])))
+    chunk = max(1, _CHUNK_ELEMENTS // offset.size)
     sum_grads = [np.zeros(m.array.shape) for m in masks]
     sum_norms = [0.0] * len(masks)
     for start in range(0, len(dataset), chunk):
         rows = slice(start, start + chunk)
-        raw = _input_gradients(net, images[rows], dataset.labels[rows], offset, class_map)
+        raw = _input_gradients(net, embed(images[rows], offset.shape), dataset.labels[rows],
+                               offset, class_map)
         for i, m in enumerate(masks):
             grads = raw * m.array
             sum_grads[i] += grads.sum(axis=0)
@@ -257,6 +259,8 @@ def confusion_matrix(net: Network, target_set: LabeledDataset, offset: np.ndarra
     domain-alignment condition).
     """
     k = target_set.num_classes
+    if offset is None:
+        offset = np.zeros(target_set.input_shape)
     chunks = _predict_chunks(net, target_set.images.array, offset)
     pred = np.concatenate([chunk_pred for _, chunk_pred, _ in chunks])
     # The map is injective, so each prediction matches at most one target class.

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .datasets import LabeledDataset, make_batches
+from .datasets import LabeledDataset, embed, make_batches, window_origin
 from .errors import ConfigurationError, FormatError, NumericError, ShapeError
 from .tensor import Tensor, load_tensor, no_grad, save_tensor, write_json
 
@@ -192,8 +192,9 @@ class Network:
             p.requires_grad = flag
 
     def set_input_standardization(self, ds: LabeledDataset) -> None:
-        """Fit the frozen z-score layer on a preprocessed training set."""
-        arr = ds.images.array
+        """Fit the frozen z-score layer on a preprocessed training set, over its
+        network-size array, a transient copy of the images in their frame."""
+        arr = embed(ds.images.array, self.input_shape)
         mean = arr.mean(axis=(0, 2, 3))
         std = arr.std(axis=(0, 2, 3))
         std = np.where(std < 1e-8, 1.0, std)
@@ -228,8 +229,10 @@ def _run_layers(layers: list, x: Tensor, rng: np.random.Generator | None) -> Ten
 # -- framed forward ------------------------------------------------------------------
 #
 # Every input the reprogramming loop feeds the network is x_i + offset, with x_i
-# zero outside a small window; a training or evaluation batch is the same with a
-# zero offset. Outside the window all samples of a batch are the same, and so is
+# a stored image that the network reads centred in a zero frame of its input size
+# (datasets.embed); a training or evaluation batch is the same with a zero offset.
+# A network-size array is such an image placed at the origin. Outside the image's
+# nonzero window all samples of a batch are the same, and so is
 # every feature map outside the window grown by the receptive field, up to the
 # first layer that makes samples differ: Flatten, or a Dropout active with the
 # forward's generator. forward_framed computes that shared part once on a batch-1
@@ -243,17 +246,20 @@ def _frame_windows(net, images: np.ndarray,
     The frame ends at Flatten or at the first Dropout active with ``rng``
     (none is when ``rng`` is None); the last window is that layer's input.
     The first is the bounding box of the pixels nonzero in any sample and
-    channel. None when the net is not a Network, a layer before the end is
-    not a known kind, or a conv's grown window would reach past its input's
-    edge.
+    channel of ``images``, in network input coordinates: shifted by where
+    the images sit (datasets.window_origin). None when the net is not a
+    Network, a layer before the end is not a known kind, or a conv's grown
+    window would reach past its input's edge.
     """
-    if not isinstance(net, Network) or images.ndim != 4 or images.shape[1:] != net.input_shape:
+    if not isinstance(net, Network) or images.ndim != 4:
         return None
+    top, left = window_origin(images.shape[1:], net.input_shape)
     nonzero = (images != 0).any(axis=(0, 1))
     rows, cols = np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
     if rows.size == 0:
         return None
-    r0, r1, c0, c1 = int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+    r0, r1 = top + int(rows[0]), top + int(rows[-1]) + 1
+    c0, c1 = left + int(cols[0]), left + int(cols[-1]) + 1
     h, w = net.input_shape[1:]
     windows = []
     for layer in net.layers:
@@ -279,27 +285,33 @@ def forward_framed(net, images: np.ndarray, offset: Tensor,
                    rng: np.random.Generator | None = None) -> Tensor:
     """Logits of ``images + offset``, sharing the frame across the batch.
 
-    ``images`` is (N, C, H, W) and ``offset`` (C, H, W); ``rng`` is
-    net.forward's. The layers before the frame's end (Flatten, or the first
-    Dropout active with ``rng``) run twice: once on a batch-1 canvas holding
-    ``offset``, and once on per-sample crops of the window where some image
-    is nonzero, grown by each conv's reach and widened to pool alignment. A
-    conv reads its crop's ring from the canvas; at the frame's end the crops
-    are pasted into the canvas, and the remaining layers run at full batch
-    shape, so an active Dropout draws the same mask as on the tape.
+    ``offset`` is (C, H, W), the network input's shape, and ``images`` is
+    (N, c, h, w), read centred in a zero frame of that shape with a single
+    channel repeated (datasets.embed); network-size images sit at the origin.
+    ``rng`` is net.forward's. The layers before the frame's end (Flatten, or
+    the first Dropout active with ``rng``) run twice: once on a batch-1 canvas
+    holding ``offset``, and once on per-sample crops of the window where some
+    image is nonzero, grown by each conv's reach and widened to pool
+    alignment. A conv reads its crop's ring from the canvas; at the frame's
+    end the crops are pasted into the canvas, and the remaining layers run at
+    full batch shape, so an active Dropout draws the same mask as on the tape.
     The result and the parameter gradients equal net.forward(images + offset,
     rng)'s in real arithmetic. Other models, other layer kinds and windows
-    that grow past the input's edge take that tape path; without ``rng`` it
-    calls net.forward(x) alone, which any model takes.
+    that grow past the input's edge take that tape path, on the network-size
+    array of ``images``; without ``rng`` it calls net.forward(x) alone, which
+    any model takes.
     """
     windows = _frame_windows(net, images, rng)
     if windows is None:
-        x = T.add(Tensor(images), offset)
+        x = T.add(Tensor(embed(images, offset.shape)), offset)
         return net.forward(x) if rng is None else net.forward(x, rng)
     end = len(windows) - 1
     r0, r1, c0, c1 = windows[0]
+    top, left = window_origin(images.shape[1:], net.input_shape)
     canvas = T.reshape(offset, (1, *offset.shape))
-    crops = T.add(Tensor(images[:, :, r0:r1, c0:c1]), T.crop(canvas, (r0, r1), (c0, c1)))
+    # A single-channel image broadcasts over the canvas's channels.
+    crops = T.add(Tensor(images[:, :, r0 - top : r1 - top, c0 - left : c1 - left]),
+                  T.crop(canvas, (r0, r1), (c0, c1)))
     for i, layer, relu in _steps(net.layers[:end], rng):
         r0, r1, c0, c1 = windows[i]
         if isinstance(layer, Conv):
@@ -388,9 +400,9 @@ def train_sgd(net: Network, ds: LabeledDataset, cfg: TrainConfig) -> tuple[Netwo
     equal the tape path's in real arithmetic. Returns the trained network and
     the per-epoch mean training loss.
     """
-    if ds.images.shape[1:] != net.input_shape:
+    if ds.input_shape != net.input_shape:
         raise ShapeError(
-            f"dataset shape {ds.images.shape[1:]} does not match network input {net.input_shape}"
+            f"dataset shape {ds.input_shape} does not match network input {net.input_shape}"
         )
     params = net.params
     net.set_requires_grad(True)
@@ -424,16 +436,18 @@ def predict_batch(net: Network, images: np.ndarray,
     """Argmax predictions (ties: lowest class index) and raw logits of images + offset.
 
     The one graph-free forward: forward_framed with ``offset`` (C, H, W),
-    zero when None, so a Network shares the frame around the images across
-    the batch; other models run ``forward``.
+    zero of the model's ``input_shape`` when None, so a Network shares the
+    frame around the images across the batch; other models run ``forward``,
+    and one without ``input_shape`` takes network-size images.
     """
-    offset = np.zeros(images.shape[1:]) if offset is None else offset
+    if offset is None:
+        offset = np.zeros(getattr(net, "input_shape", images.shape[1:]))
     with no_grad():
         logits = forward_framed(net, images, Tensor(offset)).array
     return logits.argmax(axis=1), logits
 
 
-def _predict_chunks(net, images: np.ndarray, offset=None):
+def _predict_chunks(net, images: np.ndarray, offset: np.ndarray):
     """Yield (rows, predictions, logits) of predict_batch over chunks of _EVAL_BATCH
     rows of ``images``, in order."""
     for start in range(0, len(images), _EVAL_BATCH):
@@ -448,7 +462,7 @@ def accuracy(net: Network, ds: LabeledDataset, mapping=None) -> float:
         lut = np.asarray(getattr(mapping, "map", mapping), dtype=np.int64)
         targets = lut[ds.labels]
     hits = 0
-    for rows, pred, _ in _predict_chunks(net, ds.images.array):
+    for rows, pred, _ in _predict_chunks(net, ds.images.array, np.zeros(ds.input_shape)):
         hits += int((pred == targets[rows]).sum())
     return hits / len(ds)
 

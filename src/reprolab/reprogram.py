@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .datasets import LabeledDataset, make_batches
+from .datasets import LabeledDataset, make_batches, window_origin
 from .errors import ConfigurationError, InjectivityError, NumericError, ShapeError
 from .models import _predict_chunks, forward_framed
 from .tensor import Tensor, load_tensor, save_tensor, write_json
@@ -103,7 +103,7 @@ def build_frame_mask(input_shape: tuple[int, int, int], inner_size: tuple[int, i
     if ih > h or iw > w:
         raise ShapeError(f"inner {inner_size} larger than input {input_shape}")
     arr = np.ones((c, h, w))
-    row, col = (h - ih) // 2, (w - iw) // 2
+    row, col = window_origin((c, ih, iw), input_shape)
     arr[:, row : row + ih, col : col + iw] = 0.0
     if outer_size is not None:
         if outer_size > min(h, w):
@@ -149,7 +149,7 @@ def box_project(delta: np.ndarray) -> np.ndarray:
 
 def _mean_loss(net, images: np.ndarray, offset, mapped: np.ndarray, loss_fn=None) -> float:
     """Mean loss of images + offset over models.predict_batch's evaluation chunks;
-    ``loss_fn`` None is softmax cross-entropy, and ``offset`` None is zero."""
+    ``loss_fn`` None is softmax cross-entropy."""
     loss_fn = loss_fn or T.softmax_cross_entropy
     total = 0.0
     for rows, _, logits in _predict_chunks(net, images, offset):
@@ -175,7 +175,8 @@ def zero_program_loss(net, opt_set: LabeledDataset, eval_set: LabeledDataset,
     It is the same for every mask, because x + 0 o M = x.
     """
     eval_ds = _evaluation_set(opt_set, eval_set, cfg)
-    return _mean_loss(net, eval_ds.images.array, None, class_map.apply(eval_ds.labels), loss_fn)
+    return _mean_loss(net, eval_ds.images.array, np.zeros(eval_ds.input_shape),
+                      class_map.apply(eval_ds.labels), loss_fn)
 
 
 def average_masked_gradient(net, images: np.ndarray, labels: np.ndarray, delta: np.ndarray,
@@ -184,8 +185,9 @@ def average_masked_gradient(net, images: np.ndarray, labels: np.ndarray, delta: 
 
     Computed as the gradient of the mean batch loss with respect to delta,
     which the chain rule through delta o M masks exactly (zero off-mask). The
-    forward shares the frame across the batch (models.forward_framed), so the
-    backward sums the batch's cotangents on the shared region and runs once.
+    forward shares the frame across the batch and reads the stored images
+    where they sit (models.forward_framed), so the backward sums the batch's
+    cotangents on the shared region and runs once.
     """
     if len(labels) == 0:
         raise ConfigurationError("average_masked_gradient needs a nonempty batch")

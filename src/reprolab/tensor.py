@@ -451,12 +451,6 @@ def _gemm_loop(c: np.ndarray, mats, b: np.ndarray, span: int,
                 np.matmul(a, b[:, s0 + bo : s0 + bo + n], out=c[:, s0 + co : s0 + co + n])
 
 
-def _gemm_into(c: np.ndarray, a: np.ndarray, b: np.ndarray, beta: float) -> None:
-    """c = a @ b + beta * c, in place, for beta 0 or 1: _gemm_loop's one-offset
-    case, one call per _SEG columns."""
-    _gemm_loop(c, (a,), b, c.shape[1], (0,), (0,), (beta,))
-
-
 def _offset_gemm(out2: np.ndarray, wmats, grid: np.ndarray, offsets, span: int) -> None:
     """out2[:, q] = sum_k wmats[k] @ grid[:, q + offsets[k]] for q < span, segment by
     segment, summed in offset order."""

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 from reprolab.datasets import (
     LabeledDataset,
     PadSpec,
+    embed,
     load_idx,
     make_batches,
     preprocess,
     split_dataset,
     synth_target_dataset,
+    window_origin,
     write_idx,
 )
 from reprolab.errors import ConfigurationError, ConsistencyError, FormatError, ShapeError
@@ -95,7 +98,7 @@ class TestPreprocess:
     def test_frame_zero_count_at_imagenet_scale(self):
         raw = LabeledDataset(Tensor(np.full((1, 1, 28, 28), 255.0)), [0], 1)
         out = preprocess(raw, PadSpec((3, 224, 224), (28, 28)))
-        arr = out.images.array[0]
+        arr = embed(out.images.array, out.input_shape)[0]
         zeros_per_channel = (arr[0] == 0).sum()
         assert zeros_per_channel == 224 ** 2 - 28 ** 2 == 49392
         assert zeros_per_channel > 49000
@@ -104,7 +107,7 @@ class TestPreprocess:
     def test_centering(self, rng):
         raw = LabeledDataset(Tensor(rng.integers(1, 255, (1, 1, 2, 2)).astype(float)), [0], 1)
         out = preprocess(raw, PadSpec((1, 4, 4), (2, 2)))
-        arr = out.images.array[0, 0]
+        arr = embed(out.images.array, out.input_shape)[0, 0]
         assert (arr[1:3, 1:3] != 0).all()
         arr[1:3, 1:3] = 0
         assert (arr == 0).all()
@@ -112,7 +115,7 @@ class TestPreprocess:
     def test_range_and_frame_invariants(self, rng):
         raw = synth_target_dataset(1, per_class=3, size=(6, 6))
         out = preprocess(raw, PadSpec((3, 12, 12), (6, 6)))
-        arr = out.images.array
+        arr = embed(out.images.array, out.input_shape)
         assert arr.min() >= -1.0 and arr.max() <= 1.0
         frame = np.ones((12, 12), dtype=bool)
         frame[3:9, 3:9] = False
@@ -122,6 +125,34 @@ class TestPreprocess:
         raw = LabeledDataset(Tensor(np.arange(256, dtype=float).reshape(1, 1, 16, 16)), [0], 1)
         out = preprocess(raw, PadSpec((1, 16, 16), (16, 16)))
         assert len(np.unique(out.images.array)) == 256
+
+    def test_stores_the_image_for_its_input(self):
+        raw = synth_target_dataset(1, per_class=1, size=(6, 6))
+        out = preprocess(raw, PadSpec((3, 12, 12), (6, 6)))
+        assert out.images.shape == (10, 1, 6, 6)
+        assert out.input_shape == (3, 12, 12) == out.subset([0, 1]).input_shape
+        full = embed(out.images.array, out.input_shape)
+        assert np.array_equal(full[:, :, 3:9, 3:9], np.repeat(out.images.array, 3, axis=1))
+        assert embed(full, (3, 12, 12)) is full
+
+    @pytest.mark.parametrize("window", [(2, 6, 6), (1, 13, 6), (1, 6, 13)])
+    def test_window_that_does_not_fit_rejected(self, window):
+        with pytest.raises(ShapeError, match="does not fit"):
+            window_origin(window, (3, 12, 12))
+
+    # 200 images of one 28x28 float64 channel: 6,272 B each, whatever the input.
+    @pytest.mark.parametrize("side", [64, 128])
+    def test_memory_follows_the_image_not_the_input(self, side):
+        raw = synth_target_dataset(3, per_class=20, size=(28, 28))
+        window_bytes = len(raw) * 6272
+        tracemalloc.start()
+        try:
+            out = preprocess(raw, PadSpec((3, side, side), (28, 28)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.images.array.nbytes == window_bytes
+        assert peak < 2 * window_bytes + (64 << 10)
 
     def test_inner_mismatch_rejected(self):
         raw = LabeledDataset(Tensor(np.zeros((1, 1, 8, 8))), [0], 1)

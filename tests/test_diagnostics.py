@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import reprolab.tensor as T
 from reprolab import diagnostics
-from reprolab.datasets import LabeledDataset, PadSpec, preprocess, synth_target_dataset
+from reprolab.datasets import LabeledDataset, PadSpec, embed, preprocess, synth_target_dataset
 from reprolab.diagnostics import (
     CSV_HEADER,
     MetricsRecord,
@@ -150,10 +150,11 @@ class TestGradientAlignment:
         ds, mask, cm = _setup(n=6, seed=2)
         delta = rng.uniform(-0.5, 0.5, (3, 16, 16))
         offset = delta * mask.array
-        batch = _input_gradients(small_net, ds.images.array, ds.labels, offset, cm)
+        images = embed(ds.images.array, ds.input_shape)
+        batch = _input_gradients(small_net, images, ds.labels, offset, cm)
         for i in range(len(ds)):
             single = _input_gradients(
-                small_net, ds.images.array[i : i + 1], ds.labels[i : i + 1], offset, cm
+                small_net, images[i : i + 1], ds.labels[i : i + 1], offset, cm
             )
             assert np.allclose(batch[i], single[0], atol=1e-11)
 
@@ -173,7 +174,7 @@ class TestZeroProgramAlignment:
 class TestAlignmentChunks:
     def test_chunk_size_does_not_change_r_or_g(self, rng, small_net, monkeypatch):
         ds, mask, cm = _setup(n=100, seed=3)
-        elements = int(np.prod(ds.images.shape[1:]))
+        elements = int(np.prod(ds.input_shape))
         assert len(ds) % (diagnostics._CHUNK_ELEMENTS // elements) != 0  # partial last chunk
         masks = [build_frame_mask((3, 16, 16), (8, 8), outer) for outer in (None, 10, 12)]
         offset = rng.uniform(-0.5, 0.5, (3, 16, 16)) * mask.array
@@ -274,7 +275,7 @@ class TestConfusionMatrix:
 
     def test_other_column_collects_unmapped(self, small_net):
         ds, _, _ = _setup(n=30, seed=10)
-        ds = LabeledDataset(ds.images, ds.labels % 3, 3)
+        ds = LabeledDataset(ds.images, ds.labels % 3, 3, pad=ds.pad)
         cm = build_class_map(3, [0, 1, 2])  # predictions 3..9 fall into "other"
         counts = confusion_matrix(small_net, ds, None, cm)
         assert counts.shape == (3, 4)

@@ -5,7 +5,7 @@ grown image window per sample. In real arithmetic it equals
 net.forward(images + offset); in float64 the two differ by rounding only.
 Training (train_sgd) and prediction (predict_batch) take it with a zero
 offset. Where the framed path does not apply, it must return the tape path's
-result exactly.
+result exactly. The tape path runs on network-size arrays (datasets.embed).
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ import pytest
 
 import reprolab.models as models
 import reprolab.tensor as T
-from reprolab.datasets import LabeledDataset, PadSpec, preprocess, synth_target_dataset
+from reprolab.datasets import LabeledDataset, PadSpec, embed, preprocess, synth_target_dataset
 from reprolab.diagnostics import (
     confusion_matrix,
     diagonal_accuracy,
@@ -49,20 +49,21 @@ def _framed_applies(net, images) -> bool:
     return _frame_windows(net, images) is not None
 
 
-def _tape_logits(net, images, offset):
+def _tape_logits(net, images, offset, shape=SHAPE):
     with T.no_grad():
-        return net.forward(Tensor(images + offset)).array
+        return net.forward(Tensor(embed(images, shape) + offset)).array
 
 
 def _tape_loss(net, images, labels, offset):
     with T.no_grad():
-        return T.softmax_cross_entropy(net.forward(Tensor(images + offset)), labels).item()
+        x = Tensor(embed(images, offset.shape) + offset)
+        return T.softmax_cross_entropy(net.forward(x), labels).item()
 
 
 def _tape_gradient(net, images, labels, delta, mask):
     """average_masked_gradient as it ran before the framed forward."""
     delta_t = Tensor(delta, requires_grad=True)
-    x_pert = T.add(Tensor(images), T.mul(delta_t, Tensor(mask.array)))
+    x_pert = T.add(Tensor(embed(images, mask.array.shape)), T.mul(delta_t, Tensor(mask.array)))
     T.backward(T.softmax_cross_entropy(net.forward(x_pert), labels))
     return delta_t.grad
 
@@ -77,16 +78,17 @@ def net64():
 
 
 def _target(placement=None, n=20):
-    """Outline targets, centred or with the image's top-left corner at ``placement``."""
+    """Outline targets, as preprocess stores them (centred), or as network-size
+    arrays with the image's top-left corner at ``placement``."""
     raw = synth_target_dataset(11, per_class=n // 10, size=INNER, family="outline",
                                noise_amplitude=20.0, max_shift=1)
     ds = preprocess(raw, PadSpec(SHAPE, INNER))
     if placement is None:
         return ds
-    # preprocess centres the image in a zero frame, so a roll moves it whole.
+    # The network reads the image centred in a zero frame, so a roll moves it whole.
     shift = [p - (side - inner) // 2 for p, side, inner in zip(placement, SHAPE[1:], INNER)]
-    return LabeledDataset(Tensor(np.roll(ds.images.array, shift, axis=(2, 3))), ds.labels,
-                          ds.num_classes)
+    return LabeledDataset(Tensor(np.roll(embed(ds.images.array, SHAPE), shift, axis=(2, 3))),
+                          ds.labels, ds.num_classes)
 
 
 def _deltas(rng):
@@ -206,9 +208,9 @@ class TestTrainingMatchesTape:
         _, history = train_sgd(net, ds, cfg)
         tape_net, _ = self._net_and_data(shape, inner)
         monkeypatch.setattr(T, "dropout", recorded(draws["tape"]))
-        tape_history = train_sgd_tape(tape_net, ds.images.array, ds.labels, cfg.epochs,
-                                      cfg.learning_rate, cfg.momentum, cfg.batch_size,
-                                      cfg.seed)
+        tape_history = train_sgd_tape(tape_net, embed(ds.images.array, shape), ds.labels,
+                                      cfg.epochs, cfg.learning_rate, cfg.momentum,
+                                      cfg.batch_size, cfg.seed)
         assert [d[0] for d in draws["framed"]] == [d[0] for d in draws["tape"]]
         assert len(draws["framed"]) == cfg.epochs * (len(ds) // cfg.batch_size)
         assert draws["framed"][-1][1].bit_generator.state == \
@@ -267,7 +269,7 @@ class TestConvLayerMatchesUnfusedChain:
             net.set_requires_grad(trainable)
             try:
                 if path == "tape":
-                    inputs = Tensor(ds.images.array + offset, requires_grad=True)
+                    inputs = Tensor(embed(ds.images.array, SHAPE) + offset, requires_grad=True)
                     logits = net.forward(inputs, rng)
                 else:
                     assert _framed_applies(net, ds.images.array)
@@ -340,13 +342,13 @@ class TestFallbackEqualsTape:
         offset = delta * mask.array
         with T.no_grad():
             framed = forward_framed(net, images, Tensor(offset)).array
-        assert np.array_equal(framed, _tape_logits(net, images, offset))
+        assert np.array_equal(framed, _tape_logits(net, images, offset, shape))
         assert reprogramming_loss(net, images, labels, delta, mask, cm) == \
             _tape_loss(net, images, labels, offset)
         got = average_masked_gradient(net, images, labels, delta, mask, cm)
         assert np.array_equal(got, _tape_gradient(net, images, labels, delta, mask))
-        pred, logits = predict_batch(net, images)
-        tape = _tape_logits(net, images, 0.0)
+        pred, logits = predict_batch(net, images, np.zeros(shape))
+        tape = _tape_logits(net, images, 0.0, shape)
         assert np.array_equal(logits, tape)
         assert np.array_equal(pred, tape.argmax(axis=1))
 

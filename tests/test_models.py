@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from reprolab.datasets import LabeledDataset, PadSpec, preprocess, synth_target_dataset
+from reprolab.datasets import LabeledDataset, PadSpec, embed, preprocess, synth_target_dataset
 from reprolab.errors import ConfigurationError, FormatError, NumericError, ShapeError
 from reprolab.models import (
     Dense,
@@ -169,7 +169,7 @@ class TestPredictAccuracy:
 
     def test_accuracy_constant_predictor_single_class(self, small_net):
         ds = _tiny_dataset(n=40)
-        only_zeros = LabeledDataset(ds.images, np.zeros(len(ds), dtype=np.int64), 10)
+        only_zeros = LabeledDataset(ds.images, np.zeros(len(ds), dtype=np.int64), 10, pad=ds.pad)
         preds, _ = predict_batch(small_net, ds.images.array)
         expected = (preds == 0).mean()
         assert accuracy(small_net, only_zeros) == expected
@@ -198,7 +198,7 @@ class TestCheckpoint:
         for pa, pb in zip(again.params, small_net.params):
             assert np.array_equal(pa.array, pb.array)
         assert np.array_equal(again.standardize.mean, small_net.standardize.mean)
-        x = ds.images.array[:4]
+        x = embed(ds.images.array[:4], ds.input_shape)
         with no_grad():
             assert np.array_equal(again.forward(x).array, small_net.forward(x).array)
 

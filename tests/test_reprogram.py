@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import reprolab.tensor as T
-from reprolab.datasets import LabeledDataset, PadSpec, preprocess, synth_target_dataset
+from reprolab.datasets import LabeledDataset, PadSpec, embed, preprocess, synth_target_dataset
 from reprolab.errors import ConfigurationError, InjectivityError, NumericError, ShapeError
 from reprolab.models import build_cwnet, init_weights
 from reprolab.reprogram import (
@@ -151,7 +151,8 @@ class TestReprogrammingLoss:
         got = reprogramming_loss(small_net, ds.images.array, ds.labels, np.zeros((3, 16, 16)),
                                  mask, cm)
         with T.no_grad():
-            plain = T.softmax_cross_entropy(small_net.forward(ds.images), ds.labels).item()
+            x = embed(ds.images.array, ds.input_shape)
+            plain = T.softmax_cross_entropy(small_net.forward(x), ds.labels).item()
         assert got == pytest.approx(plain, abs=1e-12)
 
     def test_matches_per_sample_loop_oracle(self, rng, small_net):
@@ -163,7 +164,7 @@ class TestReprogrammingLoss:
         per_sample = []
         with T.no_grad():
             for i in range(len(ds)):
-                x = ds.images.array[i : i + 1] + delta * mask.array
+                x = embed(ds.images.array[i : i + 1], ds.input_shape) + delta * mask.array
                 per_sample.append(
                     T.softmax_cross_entropy(small_net.forward(x), cm.apply(ds.labels[i : i + 1])).item()
                 )

@@ -16,7 +16,7 @@ import pytest
 
 import reprolab.tensor as T
 from reprolab import diagnostics
-from reprolab.datasets import PadSpec, preprocess, synth_target_dataset
+from reprolab.datasets import PadSpec, embed, preprocess, synth_target_dataset
 from reprolab.models import Conv, build_cwnet, forward_framed, init_weights
 from reprolab.reprogram import average_masked_gradient, build_class_map, build_frame_mask
 from reprolab.tensor import Tensor
@@ -137,7 +137,7 @@ class TestSameGradientsAsRetainingReplay:
         chunk = diagnostics._CHUNK_ELEMENTS // int(np.prod(SHAPE))
         offset = np.random.default_rng(6).uniform(-0.5, 0.5, SHAPE)
         got, want = _released_and_retained(
-            lambda: diagnostics._input_gradients(net, ds.images.array[:chunk],
+            lambda: diagnostics._input_gradients(net, embed(ds.images.array[:chunk], SHAPE),
                                                  ds.labels[:chunk], offset,
                                                  build_class_map(10)), monkeypatch)
         assert got.shape == (chunk, *SHAPE)

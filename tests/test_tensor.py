@@ -142,12 +142,13 @@ def _cwnet_conv_calls():
     """(input shape, kernel shape, padding) of each conv2d call that a width-0.25
     CWNet makes at 3x64x64: the tape path at batch 1, 5, 10 and 50, and the
     framed forward's canvas and crops at batch 50."""
-    from reprolab.datasets import PadSpec, preprocess, synth_target_dataset
+    from reprolab.datasets import PadSpec, embed, preprocess, synth_target_dataset
     from reprolab.models import build_cwnet, forward_framed, init_weights
 
     net = init_weights(build_cwnet((3, 64, 64), width_scale=0.25), 3)
-    images = preprocess(synth_target_dataset(5, per_class=5, size=(28, 28), family="strokes"),
-                        PadSpec((3, 64, 64), (28, 28))).images.array
+    ds = preprocess(synth_target_dataset(5, per_class=5, size=(28, 28), family="strokes"),
+                    PadSpec((3, 64, 64), (28, 28)))
+    images = embed(ds.images.array, ds.input_shape)
     calls = []
     conv2d = T.conv2d
 
@@ -202,12 +203,14 @@ class TestBlasPath:
             for g, w in zip(got, want):
                 assert (g is None and w is None) or np.array_equal(g, w), case
 
+    # The one-offset loop, c = a @ b + beta * c over all of c's columns.
     @pytest.mark.parametrize("beta", [0, 1])
     def test_gemm_into_equals_matmul(self, rng, beta):
         grid = rng.normal(0, 1, (5, 200))
         a, c = rng.normal(0, 1, (7, 5)), rng.normal(0, 1, (7, 300))
         want = c[:, 10:150] * beta + a @ grid[:, 3:143]
-        T._gemm_into(c[:, 10:150], a, grid[:, 3:143], beta)
+        out = c[:, 10:150]
+        T._gemm_loop(out, (a,), grid[:, 3:143], out.shape[1], (0,), (0,), (beta,))
         assert np.array_equal(c[:, 10:150], want)
 
     @pytest.mark.parametrize("k", [T._ACC_MAX_K, 320, 400])
@@ -215,7 +218,7 @@ class TestBlasPath:
         # Past the accumulating bound it adds the finished product, like ``+=``.
         a, b, c = rng.normal(0, 1, (16, k)), rng.normal(0, 1, (k, 700)), rng.normal(0, 1, (16, 700))
         want = c + a @ b
-        T._gemm_into(c, a, b, 1)
+        T._gemm_loop(c, (a,), b, c.shape[1], (0,), (0,), (1,))
         assert np.array_equal(c, want)
 
     @pytest.mark.parametrize("bad", ["float32", "inner_stride", "reversed_rows"])
@@ -223,13 +226,13 @@ class TestBlasPath:
         a, b, c = rng.normal(0, 1, (4, 3)), rng.normal(0, 1, (3, 12)), np.zeros((4, 6))
         before = c.copy()
         if bad == "float32":
-            args = (c, a.astype(np.float32), b[:, :6])
+            a, b = a.astype(np.float32), b[:, :6]
         elif bad == "inner_stride":
-            args = (c, a, b[:, ::2])
+            b = b[:, ::2]
         else:
-            args = (c, a[::-1], b[:, :6])
+            a, b = a[::-1], b[:, :6]
         with pytest.raises(ShapeError, match="_gemm_loop"):
-            T._gemm_into(*args, beta=1)
+            T._gemm_loop(c, (a,), b, c.shape[1], (0,), (0,), (1,))
         assert np.array_equal(c, before)
 
     @pytest.mark.parametrize("past", ["operand_end", "output_end", "negative_offset"])

@@ -48,7 +48,6 @@ from .tensor import (
     Tensor,
     backward,
     conv2d,
-    finite_diff_check,
     load_tensor,
     matmul,
     maxpool2d,

@@ -84,11 +84,16 @@ EXIT_PARTIAL = 3
 
 def _load_raw(spec: DatasetSpec, seed: int, train: bool) -> LabeledDataset:
     if spec.kind == "idx":
-        if train:
-            return load_idx(spec.images, spec.labels)
-        if spec.test_images is None:
+        if not train and spec.test_images is None:
             raise ConfigurationError(f"{spec.display_name}: no test IDX files configured")
-        return load_idx(spec.test_images, spec.test_labels)
+        labels = spec.labels if train else spec.test_labels
+        raw = load_idx(spec.images if train else spec.test_images, labels)
+        # IDX labels are bytes, so none is negative.
+        outside = np.unique(raw.labels[raw.labels >= spec.num_classes])
+        if len(outside):
+            raise ConfigurationError(f"{labels}: labels {outside.tolist()} lie outside "
+                                     f"[0, {spec.num_classes}), the configured num_classes")
+        return raw
     if train:
         return _synthesize(spec, seed, spec.per_class)
     return _synthesize(spec, seed + 1, spec.test_per_class)
@@ -208,10 +213,10 @@ def _zero_programs(cfg: ExperimentConfig, net: Network, sets: list[LabeledDatase
                    masks: list[Mask]) -> list[ZeroProgram]:
     """The zero-program stage for each mask: one loss pass, one confusion pass
     and one backward per chunk, whatever the number of masks."""
-    opt_set, eval_set, metrics_set = sets
+    _, eval_set, metrics_set = sets
     class_map = _class_map(cfg, net)
     net.set_requires_grad(False)
-    eval_loss = zero_program_loss(net, opt_set, eval_set, class_map, cfg.reprogram)
+    eval_loss = zero_program_loss(net, eval_set, class_map)
     confusion = confusion_matrix(net, metrics_set, None, class_map)
     zero = np.zeros(net.input_shape)
     return [ZeroProgram(eval_loss, confusion, r0, g_l1)

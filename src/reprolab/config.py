@@ -183,5 +183,8 @@ def config_hash(cfg: ExperimentConfig, **overrides) -> str:
         # default keeps every one of them.
         if data[section]["contrast_jitter"] == 0.0:
             del data[section]["contrast_jitter"]
+    # The stored digests were taken with a reprogram.use_heldout_eval switch
+    # that every run left at true; writing it back keeps all of them.
+    data["reprogram"]["use_heldout_eval"] = True
     data.update(overrides)
     return hashlib.sha256(canonical_json(data).encode()).hexdigest()[:16]

@@ -75,7 +75,6 @@ class ReprogramConfig:
     opt_set_size: int = 5000
     eval_set_size: int = 5000
     metrics_set_size: int = 1000
-    use_heldout_eval: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -163,20 +162,14 @@ def reprogramming_loss(net, images: np.ndarray, labels: np.ndarray, delta: np.nd
     return _mean_loss(net, images, delta * mask.array, class_map.apply(labels))
 
 
-def _evaluation_set(opt_set: LabeledDataset, eval_set: LabeledDataset,
-                    cfg: ReprogramConfig) -> LabeledDataset:
-    return eval_set if cfg.use_heldout_eval else opt_set
-
-
-def zero_program_loss(net, opt_set: LabeledDataset, eval_set: LabeledDataset,
-                      class_map: ClassMap, cfg: ReprogramConfig, loss_fn=None) -> float:
+def zero_program_loss(net, eval_set: LabeledDataset, class_map: ClassMap,
+                      loss_fn=None) -> float:
     """Evaluation loss of the zero program, ``history[0]`` of optimize_program.
 
     It is the same for every mask, because x + 0 o M = x.
     """
-    eval_ds = _evaluation_set(opt_set, eval_set, cfg)
-    return _mean_loss(net, eval_ds.images.array, np.zeros(eval_ds.input_shape),
-                      class_map.apply(eval_ds.labels), loss_fn)
+    return _mean_loss(net, eval_set.images.array, np.zeros(eval_set.input_shape),
+                      class_map.apply(eval_set.labels), loss_fn)
 
 
 def average_masked_gradient(net, images: np.ndarray, labels: np.ndarray, delta: np.ndarray,
@@ -208,10 +201,9 @@ def optimize_program(net, opt_set: LabeledDataset, eval_set: LabeledDataset, mas
 
     Per epoch the optimization set is reshuffled and split into full batches;
     each batch contributes one step delta <- clamp(delta - eta sign(g)). After
-    each epoch the loss on the held-out evaluation set (or on the optimization
-    set when ``use_heldout_eval`` is off) is recorded, and the delta with the
-    minimum recorded loss is returned. sign(0) = 0, so coordinates outside the
-    mask never move.
+    each epoch the loss on the held-out evaluation set is recorded, and the
+    delta with the minimum recorded loss is returned. sign(0) = 0, so
+    coordinates outside the mask never move.
 
     ``initial_loss`` is the zero program's evaluation loss when the caller has
     already computed it with zero_program_loss; otherwise it is computed here.
@@ -222,14 +214,13 @@ def optimize_program(net, opt_set: LabeledDataset, eval_set: LabeledDataset, mas
     """
     if hasattr(net, "set_requires_grad"):
         net.set_requires_grad(False)
-    eval_ds = _evaluation_set(opt_set, eval_set, cfg)
     mask_arr = mask.array
     opt_images = opt_set.images.array
-    mapped_eval = class_map.apply(eval_ds.labels)
+    mapped_eval = class_map.apply(eval_set.labels)
 
     delta = np.zeros(mask_arr.shape)
     if initial_loss is None:
-        initial_loss = zero_program_loss(net, opt_set, eval_set, class_map, cfg, loss_fn)
+        initial_loss = zero_program_loss(net, eval_set, class_map, loss_fn)
     if not (np.isfinite(initial_loss) or initial_loss == np.inf):
         raise NumericError("non-finite evaluation loss at the zero program")
     history = [initial_loss]
@@ -243,7 +234,7 @@ def optimize_program(net, opt_set: LabeledDataset, eval_set: LabeledDataset, mas
             delta = box_project(delta - cfg.eta * np.sign(g))
             if step_callback is not None:
                 step_callback(epoch, batch_index, delta.copy())
-        epoch_loss = _mean_loss(net, eval_ds.images.array, delta * mask_arr, mapped_eval,
+        epoch_loss = _mean_loss(net, eval_set.images.array, delta * mask_arr, mapped_eval,
                                 loss_fn)
         if not np.isfinite(epoch_loss):
             raise NumericError(f"non-finite evaluation loss after epoch {epoch}")

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import FormatError, LabelError, NumericError, ReproLabError, ShapeError
+from .errors import FormatError, LabelError, ReproLabError, ShapeError
 
 # Every tensor gets a process-wide creation index; backward replays in its order.
 _node_ids = itertools.count()
@@ -734,39 +734,6 @@ def backward(loss: Tensor) -> None:
         node.grad = None
         node._backward_rule = _replayed
         node._parents = ()
-
-
-# -- gradient checking -------------------------------------------------------------
-
-
-def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:
-    """Max relative disagreement between reverse-mode and central differences.
-
-    Returns max over coordinates of |analytic - central| / max(1, |central|).
-    """
-    leaf = Tensor(x.array.copy(), requires_grad=True)
-    out = f(leaf)
-    if out.array.size != 1:
-        raise ShapeError("finite_diff_check requires a scalar-valued function")
-    backward(out)
-    analytic = (np.zeros_like(leaf.array) if leaf.grad is None else leaf.grad).reshape(-1)
-
-    flat = x.array.copy().reshape(-1)
-    worst = 0.0
-    with no_grad():
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = f(Tensor(flat.reshape(x.shape).copy())).item()
-            flat[i] = orig - h
-            lo = f(Tensor(flat.reshape(x.shape).copy())).item()
-            flat[i] = orig
-            if not (np.isfinite(hi) and np.isfinite(lo)):
-                raise NumericError(f"non-finite function value near coordinate {i}")
-            central = (hi - lo) / (2.0 * h)
-            err = abs(analytic[i] - central) / max(1.0, abs(central))
-            worst = max(worst, err)
-    return worst
 
 
 # -- serialization -------------------------------------------------------------------

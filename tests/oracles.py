@@ -3,8 +3,10 @@
 Everything here is deliberately naive: explicit loops, arbitrary precision,
 or exhaustive enumeration. None of it shares code with the package, except
 train_sgd_tape, which drives the network's own tape forward and backward,
-backward_retaining, which replays the tape's own recorded rules, and
-conv_layer_unfused, which chains the tape's own unfused operations.
+backward_retaining, which replays the tape's own recorded rules,
+conv_layer_unfused, which chains the tape's own unfused operations, and
+finite_diff_check, which compares the package's backward with central
+differences of the same function.
 """
 
 import numpy as np
@@ -230,3 +232,37 @@ def conv_layer_unfused(x, kernels, bias, padding=0, relu=False):
 
     out = T.add(T.conv2d(x, kernels, padding=padding), T.reshape(bias, (-1, 1, 1)))
     return T.relu(out) if relu else out
+
+
+def finite_diff_check(f, x, h: float = 1e-5) -> float:
+    """Max relative disagreement between reverse-mode and central differences.
+
+    ``f`` maps a Tensor to a scalar Tensor; ``x`` is the Tensor to check at.
+    Returns max over coordinates of |analytic - central| / max(1, |central|).
+    """
+    import reprolab.tensor as T
+    from reprolab.errors import NumericError, ShapeError
+
+    leaf = T.Tensor(x.array.copy(), requires_grad=True)
+    out = f(leaf)
+    if out.array.size != 1:
+        raise ShapeError("finite_diff_check requires a scalar-valued function")
+    T.backward(out)
+    analytic = (np.zeros_like(leaf.array) if leaf.grad is None else leaf.grad).reshape(-1)
+
+    flat = x.array.copy().reshape(-1)
+    worst = 0.0
+    with T.no_grad():
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            hi = f(T.Tensor(flat.reshape(x.shape).copy())).item()
+            flat[i] = orig - h
+            lo = f(T.Tensor(flat.reshape(x.shape).copy())).item()
+            flat[i] = orig
+            if not (np.isfinite(hi) and np.isfinite(lo)):
+                raise NumericError(f"non-finite function value near coordinate {i}")
+            central = (hi - lo) / (2.0 * h)
+            err = abs(analytic[i] - central) / max(1.0, abs(central))
+            worst = max(worst, err)
+    return worst

@@ -38,9 +38,10 @@ from reprolab.reprogram import (
     optimize_program,
 )
 from reprolab.stats import kendall_tau, pearson, permutation_pvalue, spearman
-from reprolab.tensor import Tensor, finite_diff_check, softmax_cross_entropy
+from reprolab.tensor import Tensor, softmax_cross_entropy
 
 from oracles import (
+    finite_diff_check,
     grid_min_inner_product,
     kendall_tau_b_loops,
     pearson_fraction,

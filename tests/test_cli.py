@@ -846,8 +846,9 @@ class TestConfigValues:
         cfg_path = _write_config(cfg, tmp_path / "cfg.yaml", mask_outer_size=12,
                                  class_map=[3, 1, 2, 0, 4, 5, 6, 7, 8, 9])
         assert config_hash(load_config(cfg_path)) == "db91aa31cbbbcfbf"
-        # An IDX source, a null path and a non-default value in every section,
-        # digested before canonical_json became plain json.dumps.
+        # An IDX source, a null path and a non-default value in every section.
+        # The digest is the one this config had while the reprogram section
+        # still held use_heldout_eval at its default, true.
         idx = config_from_dict({
             "seed": 5, "out": "runs/idx",
             "source": {"kind": "idx", "name": "digits", "images": "data/train-images.idx",
@@ -861,13 +862,12 @@ class TestConfigValues:
             "train": {"epochs": 3, "learning_rate": 0.01, "momentum": 0.5, "batch_size": 20,
                       "seed": 2},
             "reprogram": {"eta": 0.1, "epochs": 7, "batch_size": 25, "opt_set_size": 300,
-                          "eval_set_size": 200, "metrics_set_size": 100,
-                          "use_heldout_eval": False, "seed": 4},
+                          "eval_set_size": 200, "metrics_set_size": 100, "seed": 4},
             "class_map": [2, 0, 1, 3],
             "mask_outer_size": 18,
             "mask_outer_sizes": [14, 18, 20],
         })
-        assert config_hash(idx) == "5e91a30e3208e7c5"
+        assert config_hash(idx) == "5baafaeb860f7d9e"
 
 
 def _idx_spec(root: Path, seed: int, name: str, test: bool) -> DatasetSpec:
@@ -916,6 +916,19 @@ class TestIdxDatasets:
         assert capsys.readouterr().err == \
             "error: idx datasets need both 'test_images' and 'test_labels' paths, or neither\n"
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", ["reprogram", "sweep"])
+    def test_target_labels_beyond_num_classes_rejected(self, tmp_path, capsys, command):
+        cfg = _tiny_config(tmp_path / "runs")
+        cfg.model = ModelSpec(input_shape=(3, 16, 16), width_scale=0.25, trained=False)
+        model_dir = cmd_train(cfg)
+        # The IDX target holds labels 0-9.
+        cfg.target = replace(_idx_spec(tmp_path, 9, "target", test=False), num_classes=4)
+        cfg_path = _write_config(cfg, tmp_path / "cfg.yaml")
+        assert main([command, "--config", str(cfg_path), "--model", str(model_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "target-labels.idx" in err
+        assert "[4, 5, 6, 7, 8, 9]" in err
 
 
 class TestAtomicWrites:

@@ -37,9 +37,9 @@ from reprolab.reprogram import (
     build_frame_mask,
     reprogramming_loss,
 )
-from reprolab.tensor import Tensor, finite_diff_check
+from reprolab.tensor import Tensor
 
-from oracles import conv_layer_unfused, train_sgd_tape
+from oracles import conv_layer_unfused, finite_diff_check, train_sgd_tape
 
 SHAPE = (3, 64, 64)
 INNER = (28, 28)

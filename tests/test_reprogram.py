@@ -280,14 +280,12 @@ class TestOptimizeProgram:
         assert prog.best_loss == min(prog.history)
         assert len(prog.history) == cfg.epochs + 1
 
-    @pytest.mark.parametrize("heldout", [True, False])
-    def test_given_initial_loss_leaves_history_unchanged(self, small_net, heldout):
+    def test_given_initial_loss_leaves_history_unchanged(self, small_net):
         opt_set, eval_set = _padded_target(n=20, seed=8), _padded_target(n=30, seed=9)
         mask = build_frame_mask((3, 16, 16), (8, 8), 12)
         cm = build_class_map(10, "first-ten")
-        cfg = ReprogramConfig(eta=0.05, epochs=2, batch_size=10, seed=4,
-                              use_heldout_eval=heldout)
-        initial = zero_program_loss(small_net, opt_set, eval_set, cm, cfg)
+        cfg = ReprogramConfig(eta=0.05, epochs=2, batch_size=10, seed=4)
+        initial = zero_program_loss(small_net, eval_set, cm)
         alone = optimize_program(small_net, opt_set, eval_set, mask, cm, cfg)
         given_loss = optimize_program(small_net, opt_set, eval_set, mask, cm, cfg,
                                       initial_loss=initial)

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 import reprolab.tensor as T
-from reprolab.errors import FormatError, LabelError, ReproLabError, ShapeError
+from reprolab.errors import FormatError, LabelError, NumericError, ReproLabError, ShapeError
 from reprolab.tensor import (
     Tensor,
     backward,
     conv2d,
-    finite_diff_check,
     load_tensor,
     matmul,
     maxpool2d,
@@ -26,6 +25,7 @@ from oracles import (
     conv2d_loops,
     conv_layer_unfused,
     cross_entropy_mpmath,
+    finite_diff_check,
     matmul_loops,
     maxpool2d_loops,
 )
@@ -496,6 +496,20 @@ class TestFiniteDiffCheck:
         w = Tensor(rng.normal(0, 1, 10))
         x = Tensor(rng.normal(0, 1, 10))
         assert finite_diff_check(lambda t: (t * w).sum(), x) < 1e-10
+
+    def test_reports_a_rule_that_doubles_the_gradient(self):
+        def square_with_doubled_rule(t):
+            def rule(grad):
+                T._accumulate(t, 2.0 * (2.0 * t.array * grad))
+            return T._make_node(t.array * t.array, (t,), rule)
+
+        # The rule returns 4x against a true 2x: the error is |2x| / max(1, |2x|).
+        x = Tensor([0.3, -1.2, 2.0])
+        assert finite_diff_check(lambda t: square_with_doubled_rule(t).sum(), x) > 0.5
+
+    def test_non_finite_value_raises(self):
+        with np.errstate(over="ignore"), pytest.raises(NumericError):
+            finite_diff_check(lambda t: (t * t).sum(), Tensor([1e200, 1.0]))
 
     def test_no_grad_disables_recording(self):
         x = Tensor([1.0, 2.0], requires_grad=True)

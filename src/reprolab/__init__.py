@@ -8,7 +8,6 @@ diagnostics with reprogramming success over reproducible experiment suites.
 
 from .datasets import (
     LabeledDataset,
-    PadSpec,
     load_idx,
     make_batches,
     preprocess,

@@ -30,7 +30,6 @@ from .config import (
 )
 from .datasets import (
     LabeledDataset,
-    PadSpec,
     load_idx,
     preprocess,
     split_dataset,
@@ -72,7 +71,7 @@ from .reprogram import (
     zero_program_loss,
 )
 from .stats import permutation_pvalue
-from .tensor import _openblas, blas_threads, replace_file, write_json
+from .tensor import blas_threads, replace_file, set_blas_threads, write_json
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -86,8 +85,13 @@ def _load_raw(spec: DatasetSpec, seed: int, train: bool) -> LabeledDataset:
     if spec.kind == "idx":
         if not train and spec.test_images is None:
             raise ConfigurationError(f"{spec.display_name}: no test IDX files configured")
+        images = spec.images if train else spec.test_images
         labels = spec.labels if train else spec.test_labels
-        raw = load_idx(spec.images if train else spec.test_images, labels)
+        raw = load_idx(images, labels)
+        h, w = raw.images.shape[2:]
+        if (h, w) != spec.image_size:
+            raise ConfigurationError(f"{images}: images are {h}x{w}, not the configured "
+                                     f"image_size {list(spec.image_size)}")
         # IDX labels are bytes, so none is negative.
         outside = np.unique(raw.labels[raw.labels >= spec.num_classes])
         if len(outside):
@@ -113,10 +117,6 @@ def _synthesize(spec: DatasetSpec, seed: int, per_class: int) -> LabeledDataset:
     )
 
 
-def _pad_spec(cfg: ExperimentConfig, spec: DatasetSpec) -> PadSpec:
-    return PadSpec(target_size=cfg.model.input_shape, inner_size=spec.image_size)
-
-
 # -- train ---------------------------------------------------------------------------
 
 
@@ -125,7 +125,6 @@ def cmd_train(cfg: ExperimentConfig, out_dir=None) -> Path:
     OpenBLAS thread like every sweep task, so the checkpoint's bytes do not
     depend on the caller's thread count."""
     out_dir = Path(out_dir if out_dir is not None else Path(cfg.out) / "model")
-    out_dir.mkdir(parents=True, exist_ok=True)
     net = build_cwnet(
         cfg.model.input_shape,
         num_classes=cfg.source.num_classes,
@@ -141,9 +140,8 @@ def cmd_train(cfg: ExperimentConfig, out_dir=None) -> Path:
     if cfg.model.trained:
         raw_train = _load_raw(cfg.source, cfg.seed, train=True)
         raw_test = _load_raw(cfg.source, cfg.seed, train=False)
-        pad = _pad_spec(cfg, cfg.source)
-        train_ds = preprocess(raw_train, pad)
-        test_ds = preprocess(raw_test, pad)
+        train_ds = preprocess(raw_train, cfg.model.input_shape)
+        test_ds = preprocess(raw_test, cfg.model.input_shape)
         net.set_input_standardization(train_ds)
         with blas_threads(1):
             net, history = train_sgd(net, train_ds, replace(cfg.train, seed=cfg.seed))
@@ -197,8 +195,8 @@ def _target_sets(cfg: ExperimentConfig) -> list[LabeledDataset]:
             f"target dataset has {len(raw)} samples but the run needs {needed} "
             "(opt + eval + metrics)"
         )
-    pad = _pad_spec(cfg, cfg.target)
-    return [preprocess(part, pad) for part in split_dataset(raw, sizes, cfg.seed)]
+    return [preprocess(part, cfg.model.input_shape)
+            for part in split_dataset(raw, sizes, cfg.seed)]
 
 
 def _build_mask(cfg: ExperimentConfig, outer_size) -> Mask:
@@ -308,14 +306,6 @@ def cmd_reprogram(cfg: ExperimentConfig, model_dir, out_dir=None) -> MetricsReco
 # -- sweep ---------------------------------------------------------------------------------
 
 
-def limit_blas_threads(limit: int) -> None:
-    """Lower OpenBLAS's thread count to ``limit``; never raise it. A no-op where
-    numpy's BLAS does not export the scipy-openblas thread functions."""
-    lib = _openblas()
-    if lib is not None and lib.scipy_openblas_get_num_threads64_() > limit:
-        lib.scipy_openblas_set_num_threads64_(limit)
-
-
 @dataclass
 class _Sweep:
     """What every task of a sweep reads. The parent builds it once, before the
@@ -378,7 +368,7 @@ _worker_sweep: _Sweep | None = None
 def _init_worker(sweep: _Sweep) -> None:
     global _worker_sweep
     _worker_sweep = sweep
-    limit_blas_threads(1)
+    set_blas_threads(1)
 
 
 def _in_worker(task, *args):
@@ -466,7 +456,6 @@ def cmd_sweep(cfg: ExperimentConfig, model_dir, out_dir=None, jobs: int = 1) -> 
         raise ConfigurationError(f"mask_outer_sizes repeats {repeated}; each size runs once")
     net = _load_checkpoint(cfg, model_dir)
     out_dir = Path(out_dir if out_dir is not None else Path(cfg.out) / "sweep")
-    out_dir.mkdir(parents=True, exist_ok=True)
     run_dirs = [str(out_dir / f"mask_{size}") for size in sizes]
 
     failures: dict[int, _TaskError] = {}
@@ -502,6 +491,7 @@ def cmd_sweep(cfg: ExperimentConfig, model_dir, out_dir=None, jobs: int = 1) -> 
         elif kind == "post":
             rows[i] = value
     records = [MetricsRecord(**rows[i]) for i in sorted(rows)]
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics(records, out_dir / "metrics.csv", out_dir / "metrics.jsonl")
     failures_path = out_dir / "failures.json"
     if failures:

@@ -49,6 +49,9 @@ class DatasetSpec:
     test_labels: str | None = None
 
     def __post_init__(self):
+        self.image_size = tuple(self.image_size)
+        if min(self.image_size) < 1:
+            raise ConfigurationError(f"image_size must be positive, got {list(self.image_size)}")
         if self.kind not in ("synthetic", "idx"):
             raise ConfigurationError(f"dataset kind must be synthetic or idx, got {self.kind!r}")
         if self.family not in _FAMILIES:
@@ -69,7 +72,6 @@ class DatasetSpec:
         if self.kind == "idx" and (self.test_images is None) != (self.test_labels is None):
             raise ConfigurationError("idx datasets need both 'test_images' and 'test_labels' "
                                      "paths, or neither")
-        self.image_size = tuple(self.image_size)
 
     @property
     def display_name(self) -> str:
@@ -90,6 +92,15 @@ class ModelSpec:
 
     def __post_init__(self):
         self.input_shape = tuple(self.input_shape)
+        _, h, w = self.input_shape
+        if min(self.input_shape) < 1 or h % 4 or w % 4:
+            # build_cwnet's rule: the extent must survive two 2x2 pools.
+            raise ConfigurationError(f"input_shape must be positive with H and W divisible "
+                                     f"by 4, got {list(self.input_shape)}")
+        if not self.width_scale > 0:
+            raise ConfigurationError(f"width_scale must be positive, got {self.width_scale}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ConfigurationError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
     @property
     def tag(self) -> str:

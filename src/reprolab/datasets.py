@@ -30,16 +30,16 @@ _IDX_LABELS_MAGIC = 0x00000801
 class LabeledDataset:
     """Images (n, c, h, w) with integer labels in [0, num_classes).
 
-    ``pad`` is the network input the images were preprocessed for, which reads
-    each image centred in its zero frame (``embed``); None when the images
-    have the input's shape themselves, or are raw.
+    ``input_shape`` is the (C, H, W) network input the images are read at,
+    each centred in its zero frame (``embed``); it defaults to the images'
+    own shape. ShapeError unless the images fit it (``window_origin``).
     """
 
     images: Tensor
     labels: np.ndarray
     num_classes: int
     name: str = ""
-    pad: PadSpec | None = None
+    input_shape: tuple[int, int, int] | None = None
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
@@ -49,13 +49,9 @@ class LabeledDataset:
             raise ConsistencyError(
                 f"{self.images.shape[0]} images but {len(self.labels)} labels"
             )
-        if self.pad is not None:
-            window_origin(self.images.shape[1:], self.pad.target_size)
-
-    @property
-    def input_shape(self) -> tuple[int, ...]:
-        """The (C, H, W) network input the images are for."""
-        return tuple(self.pad.target_size) if self.pad is not None else self.images.shape[1:]
+        window = self.images.shape[1:]
+        self.input_shape = window if self.input_shape is None else tuple(self.input_shape)
+        window_origin(window, self.input_shape)
 
     def __len__(self) -> int:
         return self.images.shape[0]
@@ -67,24 +63,8 @@ class LabeledDataset:
             labels=self.labels[idx],
             num_classes=self.num_classes,
             name=self.name if name is None else name,
-            pad=self.pad,
+            input_shape=self.input_shape,
         )
-
-
-@dataclass(frozen=True)
-class PadSpec:
-    """Target (C, H, W) frame around a centered inner (h, w) image."""
-
-    target_size: tuple[int, int, int]
-    inner_size: tuple[int, int]
-
-    def __post_init__(self):
-        c, height, width = self.target_size
-        ih, iw = self.inner_size
-        if min(c, height, width, ih, iw) <= 0:
-            raise ShapeError(f"non-positive extents in {self}")
-        if ih > height or iw > width:
-            raise ShapeError(f"inner {self.inner_size} does not fit in {self.target_size}")
 
 
 def _read_exact(fh, count: int, path, what: str) -> bytes:
@@ -173,28 +153,21 @@ def embed(images: np.ndarray, input_shape: tuple[int, int, int]) -> np.ndarray:
     return out
 
 
-def preprocess(ds: LabeledDataset, spec: PadSpec) -> LabeledDataset:
-    """Rescale raw pixels to [-1, 1] for a network input of ``spec.target_size``.
+def preprocess(ds: LabeledDataset, input_shape: tuple[int, int, int]) -> LabeledDataset:
+    """Rescale raw pixels to [-1, 1] for a network input of ``input_shape``.
 
-    The images keep their own (h, w) and channel count, which must be 1 or
-    the target's; nothing of the zero frame is stored. The network reads each
-    image centred in that frame with a single channel repeated (``embed``).
+    The images keep their own (h, w) and channel count; nothing of the zero
+    frame is stored. The network reads each image centred in that frame with
+    a single channel repeated (``embed``).
     """
     arr = ds.images.array
     if arr.min() < 0 or arr.max() > 255:
         raise ConfigurationError("preprocess expects raw pixels in [0, 255]")
-    _, c_in, ih, iw = arr.shape
-    if (ih, iw) != tuple(spec.inner_size):
-        raise ShapeError(f"images are {ih}x{iw} but the pad spec expects {spec.inner_size}")
-    c = spec.target_size[0]
-    if c_in not in (1, c):
-        raise ShapeError(f"cannot map {c_in} channels onto {c}")
-
     scaled = arr / 127.5
     scaled -= 1.0
     return LabeledDataset(
         images=Tensor(scaled), labels=ds.labels.copy(), num_classes=ds.num_classes,
-        name=ds.name, pad=spec,
+        name=ds.name, input_shape=input_shape,
     )
 
 

@@ -87,6 +87,9 @@ class ReprogramConfig:
         for name in ("opt_set_size", "eval_set_size", "metrics_set_size"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.batch_size > self.opt_set_size:
+            raise ConfigurationError(f"batch size {self.batch_size} exceeds opt_set_size "
+                                     f"{self.opt_set_size}")
 
 
 def build_frame_mask(input_shape: tuple[int, int, int], inner_size: tuple[int, int],

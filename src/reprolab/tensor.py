@@ -337,21 +337,27 @@ def _openblas():
     return None
 
 
-@contextmanager
-def blas_threads(count: int):
-    """Run the body at ``count`` OpenBLAS threads, then restore the count found.
-    Does nothing where numpy's BLAS does not export the scipy-openblas thread
-    functions."""
+def set_blas_threads(count: int) -> int | None:
+    """Set OpenBLAS's thread count to ``count`` and return the count it replaced;
+    None, setting nothing, where numpy's BLAS does not export the scipy-openblas
+    thread functions."""
     lib = _openblas()
     if lib is None:
-        yield
-        return
+        return None
     found = lib.scipy_openblas_get_num_threads64_()
     lib.scipy_openblas_set_num_threads64_(count)
+    return found
+
+
+@contextmanager
+def blas_threads(count: int):
+    """Run the body at ``count`` OpenBLAS threads, then restore the count found."""
+    found = set_blas_threads(count)
     try:
         yield
     finally:
-        lib.scipy_openblas_set_num_threads64_(found)
+        if found is not None:
+            set_blas_threads(found)
 
 
 @functools.cache

@@ -17,7 +17,7 @@ import pytest
 import reprolab.tensor as T
 from reprolab.cli import cmd_train, run_reprogram
 from reprolab.config import DatasetSpec, ExperimentConfig, ModelSpec, config_hash
-from reprolab.datasets import PadSpec, preprocess, split_dataset, synth_target_dataset
+from reprolab.datasets import preprocess, split_dataset, synth_target_dataset
 from reprolab.diagnostics import (
     MetricsRecord,
     alignment_stats,
@@ -269,7 +269,7 @@ def test_criterion_02_linear_model_exactness():
     w = rng.normal(0, 0.7, (1, 12, 12))
     model = _LinearLossModel(w)
     raw = synth_target_dataset(5, per_class=2, size=(6, 6))
-    ds = preprocess(raw, PadSpec((1, 12, 12), (6, 6)))
+    ds = preprocess(raw, (1, 12, 12))
     mask = build_frame_mask((1, 12, 12), (6, 6))
     cm = build_class_map(10, "first-ten")
     eta = 1.0 / 128.0
@@ -338,7 +338,7 @@ def test_criterion_04_r_metric_properties():
 def test_criterion_05_optimizer_contract():
     net = init_weights(build_cwnet((3, 16, 16), width_scale=0.25), 5)
     raw = synth_target_dataset(6, per_class=4, size=(8, 8), family="outline")
-    ds = preprocess(raw, PadSpec((3, 16, 16), (8, 8)))
+    ds = preprocess(raw, (3, 16, 16))
     mask = build_frame_mask((3, 16, 16), (8, 8))
     cm = build_class_map(10, "first-ten")
 
@@ -431,10 +431,9 @@ def test_criterion_09_domain_alignment_behavior(big_run):
                                noise_amplitude=TARGET["noise_amplitude"],
                                max_shift=TARGET["max_shift"],
                                name="synthetic-outline")
-    pad = PadSpec(INPUT_SHAPE, INNER)
     _, _, metrics_raw = split_dataset(
         raw, [rc.opt_set_size, rc.eval_set_size, rc.metrics_set_size], cfg.seed)
-    metrics_set = preprocess(metrics_raw, pad)
+    metrics_set = preprocess(metrics_raw, INPUT_SHAPE)
     mask = build_frame_mask(INPUT_SHAPE, INNER)
     cm = build_class_map(10, "first-ten", 10)
     counts = confusion_matrix(net, metrics_set, None, cm)

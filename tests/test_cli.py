@@ -529,6 +529,11 @@ class TestSweepTaskGraph:
         assert log.read_text().split().count("12") == 1
         self._assert_others_match(clean_sweep, out, 12)
 
+    def test_set_blas_threads_returns_the_count_it_replaced(self, two_blas_threads):
+        assert cli.set_blas_threads(1) == 2
+        assert _blas_threads() == 1
+        assert cli.set_blas_threads(2) == 1
+
     def test_pool_caps_blas_threads(self, two_blas_threads):
         with cli._pool(None, 2) as pool:
             inside = pool.submit(_blas_threads).result()
@@ -839,6 +844,39 @@ class TestConfigValues:
         assert capsys.readouterr().err == f"error: {key} must be >= {least}, got {value}\n"
         assert not (tmp_path / "runs").exists()
 
+    # trained: false is the case that ended in a ZeroDivisionError from init_weights
+    # after creating the model directory.
+    @pytest.mark.parametrize("key, value, message", [
+        ("model__input_shape", [3, 0, 0],
+         "input_shape must be positive with H and W divisible by 4, got [3, 0, 0]"),
+        ("model__input_shape", [0, 32, 32],
+         "input_shape must be positive with H and W divisible by 4, got [0, 32, 32]"),
+        ("model__input_shape", [3, 62, 62],
+         "input_shape must be positive with H and W divisible by 4, got [3, 62, 62]"),
+        ("source__image_size", [0, 0], "image_size must be positive, got [0, 0]"),
+        ("target__image_size", [0, 0], "image_size must be positive, got [0, 0]"),
+        ("model__width_scale", 0.0, "width_scale must be positive, got 0.0"),
+        ("model__width_scale", -2.0, "width_scale must be positive, got -2.0"),
+        ("model__dropout_rate", 1.5, "dropout_rate must be in [0, 1), got 1.5"),
+        ("model__dropout_rate", -0.1, "dropout_rate must be in [0, 1), got -0.1"),
+    ])
+    def test_bad_model_or_image_geometry_rejected_before_any_output(self, tmp_path, capsys,
+                                                                    key, value, message):
+        cfg_path = _write_config(_tiny_config(tmp_path / "runs"), tmp_path / "cfg.yaml",
+                                 model__trained=False, **{key: value})
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", ["reprogram", "sweep"])
+    def test_batch_larger_than_opt_set_rejected(self, pipeline, tmp_path, capsys, command):
+        cfg_path = _write_config(_tiny_config(tmp_path / "runs"), tmp_path / "cfg.yaml",
+                                 reprogram__batch_size=20, reprogram__opt_set_size=10)
+        argv = [command, "--config", str(cfg_path), "--model", str(pipeline["model_dir"])]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: batch size 20 exceeds opt_set_size 10\n"
+        assert not (tmp_path / "runs").exists()
+
     def test_valid_values_keep_their_hash(self, tmp_path):
         # Digests of the same configs before their values were checked.
         cfg = _tiny_config(tmp_path)
@@ -929,6 +967,19 @@ class TestIdxDatasets:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "target-labels.idx" in err
         assert "[4, 5, 6, 7, 8, 9]" in err
+
+    @pytest.mark.parametrize("command", ["reprogram", "sweep"])
+    def test_target_images_not_of_image_size_rejected(self, tmp_path, capsys, command):
+        cfg = _tiny_config(tmp_path / "runs")
+        cfg.model = ModelSpec(input_shape=(3, 16, 16), width_scale=0.25, trained=False)
+        model_dir = cmd_train(cfg)
+        # The IDX target holds 8x8 images.
+        cfg.target = replace(_idx_spec(tmp_path, 9, "target", test=False), image_size=(12, 12))
+        cfg_path = _write_config(cfg, tmp_path / "cfg.yaml")
+        assert main([command, "--config", str(cfg_path), "--model", str(model_dir)]) == 1
+        assert capsys.readouterr().err == (f"error: {tmp_path / 'target-images.idx'}: images "
+                                           "are 8x8, not the configured image_size [12, 12]\n")
+        assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == ["model"]
 
 
 class TestAtomicWrites:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from reprolab.datasets import (
     LabeledDataset,
-    PadSpec,
     embed,
     load_idx,
     make_batches,
@@ -91,13 +90,13 @@ def test_reference_mnist_first_label_is_five():
 class TestPreprocess:
     def test_linear_map_endpoints(self):
         raw = LabeledDataset(Tensor([[[[0.0, 255.0], [127.5, 64.0]]]]), [0], 1)
-        out = preprocess(raw, PadSpec((1, 2, 2), (2, 2)))
+        out = preprocess(raw, (1, 2, 2))
         block = out.images.array[0, 0]
         assert block[0, 0] == -1.0 and block[0, 1] == 1.0 and block[1, 0] == 0.0
 
     def test_frame_zero_count_at_imagenet_scale(self):
         raw = LabeledDataset(Tensor(np.full((1, 1, 28, 28), 255.0)), [0], 1)
-        out = preprocess(raw, PadSpec((3, 224, 224), (28, 28)))
+        out = preprocess(raw, (3, 224, 224))
         arr = embed(out.images.array, out.input_shape)[0]
         zeros_per_channel = (arr[0] == 0).sum()
         assert zeros_per_channel == 224 ** 2 - 28 ** 2 == 49392
@@ -106,7 +105,7 @@ class TestPreprocess:
 
     def test_centering(self, rng):
         raw = LabeledDataset(Tensor(rng.integers(1, 255, (1, 1, 2, 2)).astype(float)), [0], 1)
-        out = preprocess(raw, PadSpec((1, 4, 4), (2, 2)))
+        out = preprocess(raw, (1, 4, 4))
         arr = embed(out.images.array, out.input_shape)[0, 0]
         assert (arr[1:3, 1:3] != 0).all()
         arr[1:3, 1:3] = 0
@@ -114,7 +113,7 @@ class TestPreprocess:
 
     def test_range_and_frame_invariants(self, rng):
         raw = synth_target_dataset(1, per_class=3, size=(6, 6))
-        out = preprocess(raw, PadSpec((3, 12, 12), (6, 6)))
+        out = preprocess(raw, (3, 12, 12))
         arr = embed(out.images.array, out.input_shape)
         assert arr.min() >= -1.0 and arr.max() <= 1.0
         frame = np.ones((12, 12), dtype=bool)
@@ -123,12 +122,12 @@ class TestPreprocess:
 
     def test_injective_on_inner_region(self):
         raw = LabeledDataset(Tensor(np.arange(256, dtype=float).reshape(1, 1, 16, 16)), [0], 1)
-        out = preprocess(raw, PadSpec((1, 16, 16), (16, 16)))
+        out = preprocess(raw, (1, 16, 16))
         assert len(np.unique(out.images.array)) == 256
 
     def test_stores_the_image_for_its_input(self):
         raw = synth_target_dataset(1, per_class=1, size=(6, 6))
-        out = preprocess(raw, PadSpec((3, 12, 12), (6, 6)))
+        out = preprocess(raw, (3, 12, 12))
         assert out.images.shape == (10, 1, 6, 6)
         assert out.input_shape == (3, 12, 12) == out.subset([0, 1]).input_shape
         full = embed(out.images.array, out.input_shape)
@@ -147,7 +146,7 @@ class TestPreprocess:
         window_bytes = len(raw) * 6272
         tracemalloc.start()
         try:
-            out = preprocess(raw, PadSpec((3, side, side), (28, 28)))
+            out = preprocess(raw, (3, side, side))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -155,14 +154,15 @@ class TestPreprocess:
         assert peak < 2 * window_bytes + (64 << 10)
 
     def test_inner_mismatch_rejected(self):
-        raw = LabeledDataset(Tensor(np.zeros((1, 1, 8, 8))), [0], 1)
-        with pytest.raises(ShapeError):
-            preprocess(raw, PadSpec((1, 16, 16), (4, 4)))
+        for window, input_shape in [((1, 20, 20), (1, 16, 16)), ((2, 16, 16), (3, 16, 16))]:
+            raw = LabeledDataset(Tensor(np.zeros((1, *window))), [0], 1)
+            with pytest.raises(ShapeError):
+                preprocess(raw, input_shape)
 
     def test_raw_range_checked(self):
         raw = LabeledDataset(Tensor(np.full((1, 1, 2, 2), -3.0)), [0], 1)
         with pytest.raises(ConfigurationError, match=r"\[0, 255\]"):
-            preprocess(raw, PadSpec((1, 2, 2), (2, 2)))
+            preprocess(raw, (1, 2, 2))
 
 
 class TestSynthTarget:

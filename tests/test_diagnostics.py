@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import reprolab.tensor as T
 from reprolab import diagnostics
-from reprolab.datasets import LabeledDataset, PadSpec, embed, preprocess, synth_target_dataset
+from reprolab.datasets import LabeledDataset, embed, preprocess, synth_target_dataset
 from reprolab.diagnostics import (
     CSV_HEADER,
     MetricsRecord,
@@ -45,7 +45,7 @@ class LinearLogitsModel:
 
 def _setup(n=40, hw=16, inner=8, seed=0):
     raw = synth_target_dataset(seed, per_class=max(1, n // 10), size=(inner, inner))
-    ds = preprocess(raw, PadSpec((3, hw, hw), (inner, inner)))
+    ds = preprocess(raw, (3, hw, hw))
     mask = build_frame_mask((3, hw, hw), (inner, inner))
     cm = build_class_map(10, "first-ten")
     return ds, mask, cm
@@ -194,7 +194,7 @@ class TestAlignmentChunks:
     def test_peak_memory_does_not_grow_with_the_set(self):
         shape, inner = (3, 64, 64), (28, 28)
         net = init_weights(build_cwnet(shape, width_scale=0.25), 4, "trained-init")
-        ds = preprocess(synth_target_dataset(4, per_class=5, size=inner), PadSpec(shape, inner))
+        ds = preprocess(synth_target_dataset(4, per_class=5, size=inner), shape)
         mask = build_frame_mask(shape, inner)
         cm = build_class_map(10, "first-ten")
         offset = np.random.default_rng(4).uniform(-0.5, 0.5, shape) * mask.array
@@ -275,7 +275,7 @@ class TestConfusionMatrix:
 
     def test_other_column_collects_unmapped(self, small_net):
         ds, _, _ = _setup(n=30, seed=10)
-        ds = LabeledDataset(ds.images, ds.labels % 3, 3, pad=ds.pad)
+        ds = LabeledDataset(ds.images, ds.labels % 3, 3, input_shape=ds.input_shape)
         cm = build_class_map(3, [0, 1, 2])  # predictions 3..9 fall into "other"
         counts = confusion_matrix(small_net, ds, None, cm)
         assert counts.shape == (3, 4)

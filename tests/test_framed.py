@@ -13,7 +13,7 @@ import pytest
 
 import reprolab.models as models
 import reprolab.tensor as T
-from reprolab.datasets import LabeledDataset, PadSpec, embed, preprocess, synth_target_dataset
+from reprolab.datasets import LabeledDataset, embed, preprocess, synth_target_dataset
 from reprolab.diagnostics import (
     confusion_matrix,
     diagonal_accuracy,
@@ -73,7 +73,7 @@ def net64():
     net = init_weights(build_cwnet(SHAPE, width_scale=0.25), 21)
     raw = synth_target_dataset(5, per_class=20, size=INNER, family="strokes",
                                noise_amplitude=40.0)
-    net.set_input_standardization(preprocess(raw, PadSpec(SHAPE, INNER)))
+    net.set_input_standardization(preprocess(raw, SHAPE))
     return net
 
 
@@ -82,7 +82,7 @@ def _target(placement=None, n=20):
     arrays with the image's top-left corner at ``placement``."""
     raw = synth_target_dataset(11, per_class=n // 10, size=INNER, family="outline",
                                noise_amplitude=20.0, max_shift=1)
-    ds = preprocess(raw, PadSpec(SHAPE, INNER))
+    ds = preprocess(raw, SHAPE)
     if placement is None:
         return ds
     # The network reads the image centred in a zero frame, so a roll moves it whole.
@@ -164,7 +164,7 @@ class TestFramedMatchesTape:
         shape = (3, 32, 32)
         net = init_weights(build_cwnet(shape, width_scale=0.25), 4)
         ds = preprocess(synth_target_dataset(2, per_class=1, size=(8, 8)),
-                        PadSpec(shape, (8, 8)))
+                        shape)
         images, labels = ds.images.array[:3], ds.labels[:3]
         assert _framed_applies(net, images)
         mask = Tensor(build_frame_mask(shape, (8, 8), 20).array)
@@ -186,7 +186,7 @@ class TestTrainingMatchesTape:
     @staticmethod
     def _net_and_data(shape, inner):
         ds = preprocess(synth_target_dataset(6, per_class=3, size=inner, family="strokes",
-                                             noise_amplitude=40.0), PadSpec(shape, inner))
+                                             noise_amplitude=40.0), shape)
         net = init_weights(build_cwnet(shape, width_scale=0.25, dropout_enabled=True), 6)
         net.set_input_standardization(ds)
         return net, ds
@@ -354,7 +354,7 @@ class TestFallbackEqualsTape:
 
     def test_window_growing_into_the_border(self, small_net):
         ds = preprocess(synth_target_dataset(0, per_class=2, size=(8, 8)),
-                        PadSpec((3, 16, 16), (8, 8)))
+                        (3, 16, 16))
         self._assert_tape(small_net, ds.images.array, ds.labels, (3, 16, 16))
 
     def test_model_that_is_not_a_network(self):
@@ -362,7 +362,7 @@ class TestFallbackEqualsTape:
         shape = (3, 16, 16)
         model = LinearLogitsModel(rng.normal(0.0, 0.1, (int(np.prod(shape)), 10)))
         ds = preprocess(synth_target_dataset(0, per_class=2, size=(8, 8)),
-                        PadSpec(shape, (8, 8)))
+                        shape)
         self._assert_tape(model, ds.images.array, ds.labels, shape)
 
     def test_inputs_nonzero_everywhere(self, net64):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from reprolab.datasets import LabeledDataset, PadSpec, embed, preprocess, synth_target_dataset
+from reprolab.datasets import LabeledDataset, embed, preprocess, synth_target_dataset
 from reprolab.errors import ConfigurationError, FormatError, NumericError, ShapeError
 from reprolab.models import (
     Dense,
@@ -91,7 +91,7 @@ class TestInitWeights:
 def _tiny_dataset(n=40, hw=16, seed=0):
     raw = synth_target_dataset(seed, per_class=n // 10, size=(hw // 2, hw // 2),
                                family="strokes")
-    return preprocess(raw, PadSpec((3, hw, hw), (hw // 2, hw // 2)))
+    return preprocess(raw, (3, hw, hw))
 
 
 class TestTrainSGD:
@@ -169,7 +169,8 @@ class TestPredictAccuracy:
 
     def test_accuracy_constant_predictor_single_class(self, small_net):
         ds = _tiny_dataset(n=40)
-        only_zeros = LabeledDataset(ds.images, np.zeros(len(ds), dtype=np.int64), 10, pad=ds.pad)
+        only_zeros = LabeledDataset(ds.images, np.zeros(len(ds), dtype=np.int64), 10,
+                                    input_shape=ds.input_shape)
         preds, _ = predict_batch(small_net, ds.images.array)
         expected = (preds == 0).mean()
         assert accuracy(small_net, only_zeros) == expected
@@ -183,7 +184,7 @@ class TestPredictAccuracy:
         net = init_weights(build_cwnet((3, 16, 16), width_scale=0.25), 77,
                            mode="untrained-random")
         raw = synth_target_dataset(9, per_class=100, size=(8, 8))
-        ds = preprocess(raw, PadSpec((3, 16, 16), (8, 8)))
+        ds = preprocess(raw, (3, 16, 16))
         acc = accuracy(net, ds)
         assert 0.0 <= acc <= 0.45  # near 1/10 but constant-class collapse is common
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import reprolab.tensor as T
-from reprolab.datasets import LabeledDataset, PadSpec, embed, preprocess, synth_target_dataset
+from reprolab.datasets import LabeledDataset, embed, preprocess, synth_target_dataset
 from reprolab.errors import ConfigurationError, InjectivityError, NumericError, ShapeError
 from reprolab.models import build_cwnet, init_weights
 from reprolab.reprogram import (
@@ -47,7 +47,7 @@ def mean_logit_loss(logits, labels):
 
 def _padded_target(n=40, hw=16, inner=8, seed=0):
     raw = synth_target_dataset(seed, per_class=max(1, n // 10), size=(inner, inner))
-    ds = preprocess(raw, PadSpec((3, hw, hw), (inner, inner)))
+    ds = preprocess(raw, (3, hw, hw))
     return ds
 
 
@@ -223,7 +223,7 @@ def _linear_setup(rng, hw=8, inner=4, n=12):
     w = rng.normal(0, 0.8, (1, hw, hw))
     model = LinearLossModel(w)
     raw = synth_target_dataset(3, per_class=max(1, n // 10), size=(inner, inner))
-    ds = preprocess(raw, PadSpec((1, hw, hw), (inner, inner)))
+    ds = preprocess(raw, (1, hw, hw))
     mask = build_frame_mask((1, hw, hw), (inner, inner))
     cm = build_class_map(10, "first-ten")
     return w, model, ds, mask, cm

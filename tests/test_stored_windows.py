@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import reprolab.tensor as T
-from reprolab.datasets import LabeledDataset, PadSpec, preprocess, synth_target_dataset
+from reprolab.datasets import LabeledDataset, preprocess, synth_target_dataset
 from reprolab.diagnostics import alignment_stats, confusion_matrix
 from reprolab.models import (
     TrainConfig,
@@ -73,7 +73,7 @@ def _stored(name, n=20):
     shape, inner, _ = FIXTURES[name]
     raw = synth_target_dataset(11, per_class=n // 10, size=inner, family="outline",
                                noise_amplitude=20.0, max_shift=1)
-    return preprocess(raw, PadSpec(shape, inner))
+    return preprocess(raw, shape)
 
 
 def _full(ds):
@@ -132,7 +132,7 @@ def test_alignment_stats(case):
     cm = build_class_map(10)
     # The zero program shares one gradient between masks; a program has one mask.
     zero = np.zeros(mask.array.shape)
-    masks = [mask, build_frame_mask(ds.input_shape, ds.pad.inner_size)]
+    masks = [mask, build_frame_mask(ds.input_shape, ds.images.shape[2:])]
     for offset, with_masks in ((zero, masks), (delta * mask.array, [mask])):
         assert alignment_stats(net, ds, offset, with_masks, cm) == \
             alignment_stats(net, full, offset, with_masks, cm)

@@ -16,7 +16,7 @@ import pytest
 
 import reprolab.tensor as T
 from reprolab import diagnostics
-from reprolab.datasets import PadSpec, embed, preprocess, synth_target_dataset
+from reprolab.datasets import embed, preprocess, synth_target_dataset
 from reprolab.models import Conv, build_cwnet, forward_framed, init_weights
 from reprolab.reprogram import average_masked_gradient, build_class_map, build_frame_mask
 from reprolab.tensor import Tensor
@@ -32,7 +32,7 @@ def net_and_set():
     """A width-0.25 CWNet with dropout at 64x64, and 50 images of 28x28."""
     net = init_weights(build_cwnet(SHAPE, width_scale=0.25, dropout_enabled=True), 21)
     ds = preprocess(synth_target_dataset(4, per_class=5, size=INNER, family="strokes",
-                                         noise_amplitude=40.0), PadSpec(SHAPE, INNER))
+                                         noise_amplitude=40.0), SHAPE)
     net.set_input_standardization(ds)
     assert len(ds) == 50
     return net, ds

@@ -142,12 +142,12 @@ def _cwnet_conv_calls():
     """(input shape, kernel shape, padding) of each conv2d call that a width-0.25
     CWNet makes at 3x64x64: the tape path at batch 1, 5, 10 and 50, and the
     framed forward's canvas and crops at batch 50."""
-    from reprolab.datasets import PadSpec, embed, preprocess, synth_target_dataset
+    from reprolab.datasets import embed, preprocess, synth_target_dataset
     from reprolab.models import build_cwnet, forward_framed, init_weights
 
     net = init_weights(build_cwnet((3, 64, 64), width_scale=0.25), 3)
     ds = preprocess(synth_target_dataset(5, per_class=5, size=(28, 28), family="strokes"),
-                    PadSpec((3, 64, 64), (28, 28)))
+                    (3, 64, 64))
     images = embed(ds.images.array, ds.input_shape)
     calls = []
     conv2d = T.conv2d

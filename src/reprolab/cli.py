@@ -88,6 +88,8 @@ def _load_raw(spec: DatasetSpec, seed: int, train: bool) -> LabeledDataset:
         images = spec.images if train else spec.test_images
         labels = spec.labels if train else spec.test_labels
         raw = load_idx(images, labels)
+        if not len(raw):
+            raise ConfigurationError(f"{images}: holds no images")
         h, w = raw.images.shape[2:]
         if (h, w) != spec.image_size:
             raise ConfigurationError(f"{images}: images are {h}x{w}, not the configured "
@@ -113,7 +115,6 @@ def _synthesize(spec: DatasetSpec, seed: int, per_class: int) -> LabeledDataset:
         noise_amplitude=spec.noise_amplitude,
         max_shift=spec.max_shift,
         contrast_jitter=spec.contrast_jitter,
-        name=spec.display_name,
     )
 
 
@@ -310,12 +311,13 @@ def cmd_reprogram(cfg: ExperimentConfig, model_dir, out_dir=None) -> MetricsReco
 class _Sweep:
     """What every task of a sweep reads. The parent builds it once, before the
     pool starts; pool workers receive it through the pool initializer, which
-    under fork inherits it instead of pickling it."""
+    under fork inherits it instead of pickling it. ``masks``, ``sizes`` and
+    ``run_dirs`` are aligned: one entry per mask size, in the order given."""
 
     cfg: ExperimentConfig
     net: Network
     sets: list[LabeledDataset]
-    masks: dict[int, Mask]  # by position in ``sizes``; sizes without a mask are absent
+    masks: list[Mask]
     sizes: list[int]
     run_dirs: list[str]
 
@@ -345,9 +347,8 @@ def _per_mask(task):
     return run
 
 
-def _zero_task(sweep: _Sweep) -> dict[int, ZeroProgram]:
-    stage = _zero_programs(sweep.cfg, sweep.net, sweep.sets, list(sweep.masks.values()))
-    return dict(zip(sweep.masks, stage))
+def _zero_task(sweep: _Sweep) -> list[ZeroProgram]:
+    return _zero_programs(sweep.cfg, sweep.net, sweep.sets, sweep.masks)
 
 
 @_per_mask
@@ -407,8 +408,8 @@ def _schedule(sweep: _Sweep, submit, futures: dict[tuple, Future]) -> None:
         return future
 
     zero = start(("zero", None), _zero_task)
-    optimized = {i: start(("optimize", i), _optimize_task, i) for i in sweep.masks}
-    for i, future in optimized.items():
+    optimized = [start(("optimize", i), _optimize_task, i) for i in range(len(sweep.masks))]
+    for i, future in enumerate(optimized):
         program = future.result()
         if not isinstance(program, _TaskError):
             start(("post", i), _post_task, i, zero.result()[i], program)
@@ -430,21 +431,23 @@ def _in_own_worker(sweep: _Sweep, task, *args):
 
 
 def cmd_sweep(cfg: ExperimentConfig, model_dir, out_dir=None, jobs: int = 1) -> tuple[list, list]:
-    """One reprogramming run per mask outer size; failures isolate per run.
+    """One reprogramming run per mask outer size; task failures isolate per run.
 
-    The parent loads the checkpoint (_load_checkpoint) and builds the target
-    sets once, then runs the sweep's tasks (_schedule): one zero-program task,
-    and per mask an optimization followed by a post task. At ``jobs`` = 1 they
-    run inline in a fixed order, otherwise on one pool of ``jobs`` workers;
-    either way at one OpenBLAS thread.
-    ``jobs`` below 1, a repeated size, or a checkpoint whose input shape is not
-    the config's, is a ConfigurationError before any work. An error in the
-    zero-program task fails the sweep. A size whose mask cannot be built, or
-    whose task raises, fails alone. When a worker dies, finished results are
-    kept and the lost tasks run again one at a time, each in a fresh worker
-    (_in_own_worker). Returns (records, failures). The combined CSV, JSON
-    lines and ``failures.json`` are written afresh, rows in the order the
-    sizes were given, so a re-run into the same directory replaces them.
+    The parent loads the checkpoint (_load_checkpoint), then builds the target
+    sets and every mask once, in run_reprogram's order, and runs the sweep's
+    tasks (_schedule): one zero-program task, and per mask an optimization
+    followed by a post task. At ``jobs`` = 1 they run inline in a fixed order,
+    otherwise on one pool of ``jobs`` workers; either way at one OpenBLAS thread.
+    ``jobs`` below 1, a repeated size, a checkpoint whose input shape is not
+    the config's, target sets that cannot be built, or a size whose mask cannot
+    be built, raises before any task runs and before anything is written, with
+    the error ``reprogram`` gives. An error in the zero-program task fails the
+    sweep. A mask whose optimization or post task raises fails alone. When a
+    worker dies, finished results are kept and the lost tasks run again one at
+    a time, each in a fresh worker (_in_own_worker). Returns (records,
+    failures). The combined CSV, JSON lines and ``failures.json`` are written
+    afresh, rows in the order the sizes were given, so a re-run into the same
+    directory replaces them.
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
@@ -458,31 +461,25 @@ def cmd_sweep(cfg: ExperimentConfig, model_dir, out_dir=None, jobs: int = 1) -> 
     out_dir = Path(out_dir if out_dir is not None else Path(cfg.out) / "sweep")
     run_dirs = [str(out_dir / f"mask_{size}") for size in sizes]
 
-    failures: dict[int, _TaskError] = {}
-    masks: dict[int, Mask] = {}
-    for i, size in enumerate(sizes):
-        try:
-            masks[i] = _build_mask(cfg, size)
-        except ReproLabError as exc:
-            failures[i] = _TaskError.of(exc)
+    sets = _target_sets(cfg)  # before the masks, as run_reprogram builds them
+    sweep = _Sweep(cfg, net, sets, [_build_mask(cfg, size) for size in sizes], sizes, run_dirs)
     futures: dict[tuple, Future] = {}
-    if masks:
-        sweep = _Sweep(cfg, net, _target_sets(cfg), masks, sizes, run_dirs)
-        if jobs > 1:
-            try:
-                with _pool(sweep, min(jobs, len(masks) + 1)) as pool:
-                    _schedule(sweep, lambda task, *args: pool.submit(_in_worker, task, *args),
-                              futures)
-            except BrokenProcessPool:
-                # A worker died; run the lost tasks again, each in a fresh worker.
-                _schedule(sweep, lambda task, *args: _run_now(_in_own_worker, sweep, task, *args),
+    if jobs > 1:
+        try:
+            with _pool(sweep, min(jobs, len(sizes) + 1)) as pool:
+                _schedule(sweep, lambda task, *args: pool.submit(_in_worker, task, *args),
                           futures)
-        else:
-            # One BLAS thread, as in a pool worker: the thread count can decide
-            # the last bits of a GEMM, and jobs must not change the bytes.
-            with blas_threads(1):
-                _schedule(sweep, lambda task, *args: _run_now(task, sweep, *args), futures)
+        except BrokenProcessPool:
+            # A worker died; run the lost tasks again, each in a fresh worker.
+            _schedule(sweep, lambda task, *args: _run_now(_in_own_worker, sweep, task, *args),
+                      futures)
+    else:
+        # One BLAS thread, as in a pool worker: the thread count can decide
+        # the last bits of a GEMM, and jobs must not change the bytes.
+        with blas_threads(1):
+            _schedule(sweep, lambda task, *args: _run_now(task, sweep, *args), futures)
 
+    failures: dict[int, _TaskError] = {}
     rows: dict[int, dict] = {}
     for (kind, i), future in futures.items():
         value = future.result()
@@ -569,9 +566,8 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="experiment YAML")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="experiment YAML")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=None, help="override output directory")
 

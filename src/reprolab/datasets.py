@@ -33,12 +33,12 @@ class LabeledDataset:
     ``input_shape`` is the (C, H, W) network input the images are read at,
     each centred in its zero frame (``embed``); it defaults to the images'
     own shape. ShapeError unless the images fit it (``window_origin``).
+    Rows and summaries name a dataset by its config (``DatasetSpec.display_name``).
     """
 
     images: Tensor
     labels: np.ndarray
     num_classes: int
-    name: str = ""
     input_shape: tuple[int, int, int] | None = None
 
     def __post_init__(self):
@@ -56,13 +56,13 @@ class LabeledDataset:
     def __len__(self) -> int:
         return self.images.shape[0]
 
-    def subset(self, indices, name: str | None = None) -> "LabeledDataset":
+    def subset(self, indices) -> "LabeledDataset":
+        """The samples at ``indices``, read at the same ``input_shape``."""
         idx = np.asarray(indices, dtype=np.int64)
         return LabeledDataset(
             images=Tensor(self.images.array[idx]),
             labels=self.labels[idx],
             num_classes=self.num_classes,
-            name=self.name if name is None else name,
             input_shape=self.input_shape,
         )
 
@@ -107,7 +107,6 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
         images=Tensor(images),
         labels=labels.astype(np.int64),
         num_classes=int(labels.max()) + 1 if count else 0,
-        name=images_path.stem,
     )
 
 
@@ -167,7 +166,7 @@ def preprocess(ds: LabeledDataset, input_shape: tuple[int, int, int]) -> Labeled
     scaled -= 1.0
     return LabeledDataset(
         images=Tensor(scaled), labels=ds.labels.copy(), num_classes=ds.num_classes,
-        name=ds.name, input_shape=input_shape,
+        input_shape=input_shape,
     )
 
 
@@ -189,6 +188,7 @@ def _neighborhood(maskbool: np.ndarray, reach: int = 1):
 
 
 def _glyph(cls: int, h: int, w: int, family: str) -> np.ndarray:
+    """Class ``cls``'s glyph on an h x w canvas; synth_target_dataset checks ``family``."""
     yy, xx = np.mgrid[0:h, 0:w]
     u = (xx + 0.5) / w - 0.5
     v = (yy + 0.5) / h - 0.5
@@ -220,7 +220,7 @@ def _glyph(cls: int, h: int, w: int, family: str) -> np.ndarray:
             (((np.abs(u) < 0.33) & (np.abs(v) < 0.33)) & ((np.abs(u) > 0.15) | (np.abs(v) > 0.15))),
             ((np.abs(r - 0.3) < 0.07) | ((np.abs(u) < 0.07) & (np.abs(v) < 0.3))),  # theta
         ]
-    elif family == "outline":
+    else:  # "outline"
         # Hollow ring one pixel outside the stroke glyph, displaced by a third
         # of the canvas: no pixel overlap with the source family and a broken
         # spatial alignment, but shared edge orientation statistics.
@@ -228,8 +228,6 @@ def _glyph(cls: int, h: int, w: int, family: str) -> np.ndarray:
         dilated = np.logical_or.reduce(_neighborhood(core))
         ring = np.roll(dilated & ~core, (h // 5, w // 5), axis=(0, 1))
         shapes = [ring] * 10
-    else:
-        raise ConfigurationError(f"unknown glyph family {family!r}; choose from {_FAMILIES}")
     return shapes[cls % 10].astype(np.float64)
 
 
@@ -242,7 +240,6 @@ def synth_target_dataset(
     noise_amplitude: float = 25.0,
     max_shift: int = 2,
     contrast_jitter: float = 0.0,
-    name: str | None = None,
 ) -> LabeledDataset:
     """Seed-reproducible class-conditional glyph images with noise and jitter.
 
@@ -250,13 +247,16 @@ def synth_target_dataset(
     optionally dimmed by a per-image contrast factor in [1 - contrast_jitter, 1],
     plus clipped Gaussian pixel noise. Returns a raw dataset (pixels in
     [0, 255]) ordered class-by-class; shuffling happens at batch/split time.
+    ConfigurationError for an unknown ``family``, before anything is drawn.
     """
+    if family not in _FAMILIES:
+        raise ConfigurationError(f"unknown glyph family {family!r}; choose from {_FAMILIES}")
     if per_class < 1:
         raise ConfigurationError(f"per_class must be >= 1, got {per_class}")
     if not 0.0 <= contrast_jitter < 1.0:
         raise ConfigurationError(f"contrast_jitter must be in [0, 1), got {contrast_jitter}")
     h, w = size
-    rng = np.random.default_rng([int(seed), _FAMILIES.index(family) if family in _FAMILIES else 99])
+    rng = np.random.default_rng([int(seed), _FAMILIES.index(family)])
     images = np.empty((num_classes * per_class, 1, h, w))
     labels = np.empty(num_classes * per_class, dtype=np.int64)
     for cls in range(num_classes):
@@ -273,7 +273,6 @@ def synth_target_dataset(
         images=Tensor(images),
         labels=labels,
         num_classes=num_classes,
-        name=name or f"synthetic-{family}",
     )
 
 
@@ -294,7 +293,7 @@ def split_dataset(ds: LabeledDataset, sizes: list[int], seed: int) -> list[Label
         raise ConfigurationError(f"cannot draw {sum(sizes)} samples from {len(ds)}")
     perm = np.random.default_rng([int(seed), 0x5E17]).permutation(len(ds))
     parts, start = [], 0
-    for k, size in enumerate(sizes):
-        parts.append(ds.subset(perm[start : start + size], name=f"{ds.name}[{k}]"))
+    for size in sizes:
+        parts.append(ds.subset(perm[start : start + size]))
         start += size
     return parts

@@ -429,8 +429,7 @@ def test_criterion_09_domain_alignment_behavior(big_run):
                                                  + rc.metrics_set_size) // 10)),
                                size=INNER, family="outline",
                                noise_amplitude=TARGET["noise_amplitude"],
-                               max_shift=TARGET["max_shift"],
-                               name="synthetic-outline")
+                               max_shift=TARGET["max_shift"])
     _, _, metrics_raw = split_dataset(
         raw, [rc.opt_set_size, rc.eval_set_size, rc.metrics_set_size], cfg.seed)
     metrics_set = preprocess(metrics_raw, INPUT_SHAPE)

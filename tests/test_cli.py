@@ -39,7 +39,7 @@ from reprolab.diagnostics import (
     reprogramming_accuracy,
     save_confusion_csv,
 )
-from reprolab.errors import ConfigurationError, SchemaError
+from reprolab.errors import ConfigurationError, SchemaError, ShapeError
 from reprolab.models import TrainConfig, _frame_windows, load_model
 from reprolab.reprogram import (
     Program,
@@ -254,13 +254,13 @@ class TestSweepCommand:
         combined = read_metrics_csv(tmp_path / "sweep" / "metrics.csv")
         assert [r.mask_size for r in combined] == sizes
 
-    def test_failure_isolation(self, pipeline, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unbuildable_size_rejected_before_any_work(self, pipeline, tmp_path, jobs):
         cfg = _tiny_config(pipeline["root"], seed=3)
-        cfg.mask_outer_sizes = [6, 12]  # 6 < inner image 8: invalid, must fail alone
-        records, failures = cmd_sweep(cfg, pipeline["model_dir"], tmp_path / "sweepfail")
-        assert len(records) == 1 and len(failures) == 1
-        assert failures[0][0] == 6
-        assert (tmp_path / "sweepfail" / "failures.json").exists()
+        cfg.mask_outer_sizes = [6, 12]  # 6 < inner image 8: no mask can be built
+        with pytest.raises(ShapeError):
+            cmd_sweep(cfg, pipeline["model_dir"], tmp_path / "sweepfail", jobs=jobs)
+        assert not (tmp_path / "sweepfail").exists()
 
     def test_rerun_replaces_outputs(self, pipeline, tmp_path):
         cfg = _tiny_config(pipeline["root"], seed=3)
@@ -275,13 +275,22 @@ class TestSweepCommand:
         for size in cfg.mask_outer_sizes:
             assert len(read_metrics_csv(out / f"mask_{size}" / "metrics.csv")) == 1
 
-    def test_clean_rerun_removes_failures_file(self, pipeline, tmp_path):
+    def test_clean_rerun_removes_failures_file(self, pipeline, tmp_path, monkeypatch):
         cfg = _tiny_config(pipeline["root"], seed=3)
         out = tmp_path / "heal"
-        cfg.mask_outer_sizes = [6, 12]
-        _, failures = cmd_sweep(cfg, pipeline["model_dir"], out)
-        assert failures and (out / "failures.json").exists()
         cfg.mask_outer_sizes = [10, 12]
+        original = cli.optimize_program
+
+        def failing(net, opt_set, eval_set, mask, *args, **kwargs):
+            if _mask_outer(mask) == 10:
+                raise RuntimeError("injected optimization failure")
+            return original(net, opt_set, eval_set, mask, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "optimize_program", failing)
+        _, failures = cmd_sweep(cfg, pipeline["model_dir"], out)
+        assert failures == [(10, "RuntimeError: injected optimization failure")]
+        assert (out / "failures.json").exists()
+        monkeypatch.setattr(cli, "optimize_program", original)
         _, failures = cmd_sweep(cfg, pipeline["model_dir"], out)
         assert not failures and not (out / "failures.json").exists()
         assert [r.mask_size for r in read_metrics_csv(out / "metrics.csv")] == \
@@ -450,8 +459,9 @@ class TestSweepTaskGraph:
         assert [name for name, _ in calls] == ["load", "synth"]
         assert {int(pid) for _, pid in calls} == {os.getpid()}
 
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_post_stage_error_fails_that_mask_alone(self, pipeline, clean_sweep, tmp_path,
-                                                    monkeypatch):
+                                                    monkeypatch, jobs):
         original = cli.alignment_stats
 
         def failing(net, dataset, offset, masks, *args, **kwargs):
@@ -461,7 +471,7 @@ class TestSweepTaskGraph:
 
         monkeypatch.setattr(cli, "alignment_stats", failing)
         out = tmp_path / "sweep"
-        _, (records, failures) = self._sweep(pipeline, out)
+        _, (records, failures) = self._sweep(pipeline, out, jobs=jobs)
         assert failures == [(12, "RuntimeError: injected post-stage failure")]
         assert len(records) == 2
         self._assert_others_match(clean_sweep, out, 12)
@@ -877,6 +887,22 @@ class TestConfigValues:
         assert capsys.readouterr().err == "error: batch size 20 exceeds opt_set_size 10\n"
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"target__image_size": [20, 20]}, "a 1x20x20 image does not fit a 3x16x16 input"),
+        ({"mask_outer_sizes": [6, 12], "mask_outer_size": 6},
+         "outer size 6 smaller than inner image (8, 8)"),
+    ], ids=["image-larger-than-input", "size-smaller-than-image"])
+    def test_unbuildable_geometry_fails_sweep_and_reprogram_alike(self, tmp_path, capsys,
+                                                                  changes, message):
+        cfg = _tiny_config(tmp_path / "runs")
+        cfg.model = ModelSpec(input_shape=(3, 16, 16), width_scale=0.25, trained=False)
+        model_dir = cmd_train(cfg)
+        cfg_path = _write_config(cfg, tmp_path / "cfg.yaml", **changes)
+        for argv in (["sweep", "--jobs", "2"], ["reprogram"]):
+            assert main([*argv, "--config", str(cfg_path), "--model", str(model_dir)]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == ["model"]
+
     def test_valid_values_keep_their_hash(self, tmp_path):
         # Digests of the same configs before their values were checked.
         cfg = _tiny_config(tmp_path)
@@ -953,6 +979,20 @@ class TestIdxDatasets:
         assert main(["train", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err == \
             "error: idx datasets need both 'test_images' and 'test_labels' paths, or neither\n"
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("key", ["images", "test_images"])
+    def test_idx_file_without_images_rejected(self, tmp_path, capsys, key):
+        cfg = _tiny_config(tmp_path / "runs")
+        cfg.source = _idx_spec(tmp_path, 5, "source", test=True)
+        empty = synth_target_dataset(5, per_class=1, size=(8, 8)).subset([])
+        write_idx(empty, tmp_path / "empty-images.idx", tmp_path / "empty-labels.idx")
+        cfg_path = _write_config(cfg, tmp_path / "cfg.yaml", **{
+            f"source__{key}": str(tmp_path / "empty-images.idx"),
+            f"source__{key.replace('images', 'labels')}": str(tmp_path / "empty-labels.idx")})
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {tmp_path / 'empty-images.idx'}: holds no images\n"
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("command", ["reprogram", "sweep"])

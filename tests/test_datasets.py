@@ -208,6 +208,11 @@ class TestSynthTarget:
         ds = synth_target_dataset(5, per_class=3, size=(10, 10), noise_amplitude=80.0)
         assert ds.images.array.min() >= 0.0 and ds.images.array.max() <= 255.0
 
+    @pytest.mark.parametrize("num_classes", [0, 10])
+    def test_unknown_family_rejected_before_drawing(self, num_classes):
+        with pytest.raises(ConfigurationError, match="unknown glyph family 'nope'"):
+            synth_target_dataset(0, num_classes=num_classes, family="nope")
+
 
 class TestMakeBatches:
     def test_exact_cover(self):

@@ -39,8 +39,10 @@ from .reprogram import (
     box_project,
     build_class_map,
     build_frame_mask,
+    merge_zero_program,
     optimize_program,
     reprogramming_loss,
+    zero_program_loss,
 )
 from .stats import CorrelationResult, kendall_tau, pearson, permutation_pvalue, spearman
 from .tensor import (

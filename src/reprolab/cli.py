@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 import traceback
@@ -224,11 +223,10 @@ def _zero_programs(cfg: ExperimentConfig, net: Network, sets: list[LabeledDatase
 
 def _best_epoch(cfg: ExperimentConfig, net: Network, sets: list[LabeledDataset],
                 mask: Mask) -> Program:
-    """The optimization stage: sign-SGD without the zero program, which
-    merge_zero_program compares with the best epoch afterwards."""
+    """The optimization stage: optimize_program's best epoch. The post stage
+    makes the run's program merge_zero_program(zero_program_loss(...), it)."""
     opt_set, eval_set, _ = sets
-    return optimize_program(net, opt_set, eval_set, mask, _class_map(cfg, net), cfg.reprogram,
-                            initial_loss=math.inf)
+    return optimize_program(net, opt_set, eval_set, mask, _class_map(cfg, net), cfg.reprogram)
 
 
 def run_reprogram(cfg: ExperimentConfig, net: Network, out_dir=None,

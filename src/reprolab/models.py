@@ -22,6 +22,11 @@ from .errors import ConfigurationError, FormatError, NumericError, ShapeError
 from .tensor import Tensor, load_tensor, no_grad, save_tensor, write_json
 
 
+# Network input elements per chunk of the standardization fit: 5 samples at
+# 3x64x64, 1 at 3x128x128, so the fit's memory does not grow with the set.
+_FIT_CHUNK_ELEMENTS = 1 << 16
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 10
@@ -192,11 +197,36 @@ class Network:
             p.requires_grad = flag
 
     def set_input_standardization(self, ds: LabeledDataset) -> None:
-        """Fit the frozen z-score layer on a preprocessed training set, over its
-        network-size array, a transient copy of the images in their frame."""
-        arr = embed(ds.images.array, self.input_shape)
-        mean = arr.mean(axis=(0, 2, 3))
-        std = arr.std(axis=(0, 2, 3))
+        """Fit the frozen z-score layer on a preprocessed training set.
+
+        The mean and std are those of the network-size array (datasets.embed)
+        over (N, H, W), bit for bit, but that array is built only one chunk
+        of _FIT_CHUNK_ELEMENTS input elements at a time. numpy reduces a
+        contiguous (N, C, H, W) array over (0, 2, 3) as one pairwise sum over
+        (H, W) per sample and channel, added over the samples in order; the
+        chunks repeat exactly that, for the values and then for their squared
+        deviations from the mean. At C = 1 the axes merge into one pairwise
+        sum over the whole array, so a 1-channel input is fit in one chunk.
+        """
+        images, shape = ds.images.array, self.input_shape
+        whole = shape[0] == 1
+        chunk = max(1, len(images) if whole else _FIT_CHUNK_ELEMENTS // int(np.prod(shape)))
+
+        def channel_sums(center=None) -> np.ndarray:
+            total = np.zeros(shape[0])
+            for start in range(0, len(images), chunk):
+                part = embed(images[start : start + chunk], shape)
+                if center is not None:
+                    part = part - center[:, None, None]
+                    part *= part
+                sums = part.sum(axis=(0, 2, 3) if whole else (2, 3))
+                for sample in sums.reshape(-1, shape[0]):
+                    total += sample
+            return total
+
+        count = len(images) * shape[1] * shape[2]
+        mean = channel_sums() / count
+        std = np.sqrt(channel_sums(mean) / count)
         std = np.where(std < 1e-8, 1.0, std)
         self.standardize.set(mean, std)
 

@@ -57,9 +57,11 @@ class ClassMap:
 class Program:
     """Optimized perturbation with its evaluation-loss trail.
 
-    ``history[0]`` is the evaluation loss of the zero program; one entry per
-    epoch follows. ``best_loss`` is the minimum of the recorded history and
-    ``delta`` the perturbation achieving it.
+    ``history[0]`` is the evaluation loss of the zero program (inf until
+    merge_zero_program sets it); one entry per epoch follows. ``best_loss`` is
+    the minimum of the recorded history and ``delta`` the perturbation
+    achieving it. A run's program is
+    ``merge_zero_program(zero_program_loss(...), optimize_program(...))``.
     """
 
     delta: np.ndarray
@@ -167,7 +169,7 @@ def reprogramming_loss(net, images: np.ndarray, labels: np.ndarray, delta: np.nd
 
 def zero_program_loss(net, eval_set: LabeledDataset, class_map: ClassMap,
                       loss_fn=None) -> float:
-    """Evaluation loss of the zero program, ``history[0]`` of optimize_program.
+    """Evaluation loss of the zero program, ``history[0]`` of merge_zero_program.
 
     It is the same for every mask, because x + 0 o M = x.
     """
@@ -199,20 +201,18 @@ def average_masked_gradient(net, images: np.ndarray, labels: np.ndarray, delta: 
 
 def optimize_program(net, opt_set: LabeledDataset, eval_set: LabeledDataset, mask: Mask,
                      class_map: ClassMap, cfg: ReprogramConfig, loss_fn=None,
-                     step_callback=None, initial_loss: float | None = None) -> Program:
+                     step_callback=None) -> Program:
     """Sign-gradient descent on the masked program with box projection.
 
     Per epoch the optimization set is reshuffled and split into full batches;
     each batch contributes one step delta <- clamp(delta - eta sign(g)). After
     each epoch the loss on the held-out evaluation set is recorded, and the
-    delta with the minimum recorded loss is returned. sign(0) = 0, so
+    first epoch with the minimum loss is returned. sign(0) = 0, so
     coordinates outside the mask never move.
 
-    ``initial_loss`` is the zero program's evaluation loss when the caller has
-    already computed it with zero_program_loss; otherwise it is computed here.
-    ``initial_loss=math.inf`` defers the zero program: every epoch beats it, so
-    the result holds the best epoch, and merge_zero_program later turns it
-    into the result for the real zero-program loss.
+    The zero program is not compared here: ``history[0]`` is inf, so with no
+    epochs the result is the zero delta at ``best_loss`` inf. The run's
+    program is merge_zero_program(zero_program_loss(...), this result).
     ``step_callback(epoch, batch, delta)`` observes read-only snapshots.
     """
     if hasattr(net, "set_requires_grad"):
@@ -222,12 +222,8 @@ def optimize_program(net, opt_set: LabeledDataset, eval_set: LabeledDataset, mas
     mapped_eval = class_map.apply(eval_set.labels)
 
     delta = np.zeros(mask_arr.shape)
-    if initial_loss is None:
-        initial_loss = zero_program_loss(net, eval_set, class_map, loss_fn)
-    if not (np.isfinite(initial_loss) or initial_loss == np.inf):
-        raise NumericError("non-finite evaluation loss at the zero program")
-    history = [initial_loss]
-    best_loss, best_delta = initial_loss, delta.copy()
+    history = [np.inf]
+    best_loss, best_delta = np.inf, delta.copy()
 
     for epoch in range(cfg.epochs):
         for batch_index, idx in enumerate(make_batches(opt_set, cfg.batch_size, cfg.seed, epoch)):
@@ -250,12 +246,12 @@ def optimize_program(net, opt_set: LabeledDataset, eval_set: LabeledDataset, mas
 
 
 def merge_zero_program(initial_loss: float, best_epoch: Program) -> Program:
-    """optimize_program's result for ``initial_loss``, from its result for inf.
+    """The run's program: the zero program, whose evaluation loss is
+    ``initial_loss``, against optimize_program's best epoch.
 
-    The epochs do not depend on ``history[0]``, so the zero program can be
-    compared last. It wins unless the best epoch is strictly lower, which is
-    the rule optimize_program applies epoch by epoch; ties go to the zero
-    program.
+    The best epoch wins only when its loss is strictly lower, as a later
+    epoch beats an earlier one; ties go to the zero program. ``history[0]``
+    becomes ``initial_loss``.
     """
     if not np.isfinite(initial_loss):
         raise NumericError("non-finite evaluation loss at the zero program")

@@ -6,7 +6,9 @@ train_sgd_tape, which drives the network's own tape forward and backward,
 backward_retaining, which replays the tape's own recorded rules,
 conv_layer_unfused, which chains the tape's own unfused operations, and
 finite_diff_check, which compares the package's backward with central
-differences of the same function.
+differences of the same function. standardization_whole_array is numpy's own
+mean and std over the whole network-size array, the form the streamed
+standardization fit must reproduce bit for bit.
 """
 
 import numpy as np
@@ -266,3 +268,16 @@ def finite_diff_check(f, x, h: float = 1e-5) -> float:
             err = abs(analytic[i] - central) / max(1.0, abs(central))
             worst = max(worst, err)
     return worst
+
+
+def standardization_whole_array(images: np.ndarray, input_shape) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel mean and std over (N, H, W) of every image centred in a zero
+    frame of ``input_shape``, a single channel repeated, with a zero std read
+    as 1: the fit on the whole network-size array at once."""
+    n, _, h, w = images.shape
+    c, height, width = input_shape
+    arr = np.zeros((n, c, height, width))
+    row, col = (height - h) // 2, (width - w) // 2
+    arr[:, :, row : row + h, col : col + w] = images
+    std = arr.std(axis=(0, 2, 3))
+    return arr.mean(axis=(0, 2, 3)), np.where(std < 1e-8, 1.0, std)

@@ -35,7 +35,9 @@ from reprolab.reprogram import (
     build_class_map,
     build_frame_mask,
     average_masked_gradient,
+    merge_zero_program,
     optimize_program,
+    zero_program_loss,
 )
 from reprolab.stats import kendall_tau, pearson, permutation_pvalue, spearman
 from reprolab.tensor import Tensor, softmax_cross_entropy
@@ -275,7 +277,8 @@ def test_criterion_02_linear_model_exactness():
     eta = 1.0 / 128.0
     cfg = ReprogramConfig(eta=eta, epochs=130, batch_size=len(ds), opt_set_size=len(ds),
                           eval_set_size=len(ds), seed=2)
-    prog = optimize_program(model, ds, ds, mask, cm, cfg, loss_fn=_mean_logit)
+    prog = merge_zero_program(zero_program_loss(model, ds, cm, loss_fn=_mean_logit),
+                              optimize_program(model, ds, ds, mask, cm, cfg, loss_fn=_mean_logit))
     g = average_masked_gradient(model, ds.images.array, ds.labels,
                                 np.zeros((1, 12, 12)), mask, cm, loss_fn=_mean_logit)
     predicted = predicted_loss_drop(g, np.inf, 1.0)
@@ -343,7 +346,8 @@ def test_criterion_05_optimizer_contract():
     cm = build_class_map(10, "first-ten")
 
     zero_cfg = ReprogramConfig(eta=0.005, epochs=0, batch_size=10, seed=1)
-    zero_prog = optimize_program(net, ds, ds, mask, cm, zero_cfg)
+    zero_loss = zero_program_loss(net, ds, cm)
+    zero_prog = merge_zero_program(zero_loss, optimize_program(net, ds, ds, mask, cm, zero_cfg))
     zero_ok = np.array_equal(zero_prog.delta, np.zeros((3, 16, 16))) and \
         zero_prog.history == [zero_prog.best_loss]
 
@@ -358,7 +362,8 @@ def test_criterion_05_optimizer_contract():
         if np.abs(delta[mask.array == 0]).max(initial=0.0) != 0.0:
             violations.append("mask")
 
-    prog = optimize_program(net, ds, ds, mask, cm, cfg, step_callback=check)
+    prog = merge_zero_program(zero_loss,
+                              optimize_program(net, ds, ds, mask, cm, cfg, step_callback=check))
 
     from reprolab.datasets import make_batches
 

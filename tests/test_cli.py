@@ -351,6 +351,26 @@ class TestSweepCommand:
                 assert prog.history[0] == reprogramming_loss(
                     net, eval_set.images.array, eval_set.labels, zero, mask, cm)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_zero_epochs_keep_the_zero_program(self, pipeline, tmp_path, jobs):
+        # With no epochs optimize_program returns the zero delta at loss inf,
+        # and merge_zero_program alone must admit the zero program: every row,
+        # of the sweep and of a lone reprogram, is the zero program's own.
+        cfg = _tiny_config(pipeline["root"], seed=3)
+        cfg.reprogram = replace(cfg.reprogram, epochs=0)
+        cfg.mask_outer_sizes = [10, 12, 16]
+        records, failures = cmd_sweep(cfg, pipeline["model_dir"], tmp_path / "sweep", jobs=jobs)
+        assert not failures and len(records) == 3
+        for size, record in zip(cfg.mask_outer_sizes, records):
+            alone_dir = tmp_path / f"alone_{size}"
+            alone = cmd_reprogram(replace(cfg, mask_outer_size=size), pipeline["model_dir"],
+                                  alone_dir)
+            for row, run in ((record, tmp_path / "sweep" / f"mask_{size}"), (alone, alone_dir)):
+                assert row.rn == row.r0 and row.ra == row.da
+                prog, sidecar = load_program(run / "program")
+                assert prog.delta.tobytes() == np.zeros((3, 16, 16)).tobytes()
+                assert sidecar["history"] == [sidecar["best_loss"]]
+
     def test_parallel_same_bytes_on_the_framed_path(self, tmp_path):
         # At 16x16 the grown image window reaches the border and every forward
         # takes the tape path; at 32x32 around an 8x8 image the framed one runs.

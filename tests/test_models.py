@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from reprolab.models import (
     train_sgd,
 )
 from reprolab.tensor import Tensor, no_grad, softmax_cross_entropy
+
+from oracles import standardization_whole_array
 
 
 class TestBuildCWNet:
@@ -219,3 +222,64 @@ class TestCheckpoint:
         path.write_text(json.dumps(manifest))
         with pytest.raises(FormatError, match=f"no {kind} layer"):
             load_model(tmp_path / "ckpt")
+
+
+class TestStandardizationFit:
+    """The fit builds the network-size array one chunk at a time and must give
+    the bits of numpy's mean and std over the whole array."""
+
+    # (samples, image (c, h, w), network input): chunks of 2^16 input elements
+    # hold 85 samples at 3x16x16, 21 at 3x32x32, 5 at 3x64x64, 2 at 3x96x96 and
+    # 1 at 3x128x128, so the counts leave a partial chunk. A 1-channel input
+    # is one flat sum in numpy, and the fit takes it in one chunk.
+    CASES = [
+        (200, (1, 8, 8), (3, 16, 16)),
+        (300, (1, 12, 10), (1, 16, 16)),
+        (90, (1, 16, 16), (1, 16, 16)),
+        (47, (3, 20, 20), (3, 32, 32)),
+        (70, (3, 32, 32), (3, 32, 32)),
+        (23, (1, 28, 28), (3, 64, 64)),
+        (7, (1, 28, 28), (3, 96, 96)),
+        (5, (3, 64, 64), (3, 96, 96)),
+        (3, (1, 28, 28), (3, 128, 128)),
+        (4, (3, 128, 128), (3, 128, 128)),
+    ]
+
+    @staticmethod
+    def _assert_whole_array_bits(ds):
+        net = build_cwnet(ds.input_shape, width_scale=0.25)
+        net.set_input_standardization(ds)
+        mean, std = standardization_whole_array(ds.images.array, ds.input_shape)
+        assert net.standardize.mean.tobytes() == mean.tobytes()
+        assert net.standardize.std.tobytes() == std.tobytes()
+
+    @pytest.mark.parametrize("n, window, shape", CASES)
+    def test_bits_of_the_whole_array(self, n, window, shape):
+        rng = np.random.default_rng(n)
+        images = rng.normal(0.3, rng.uniform(0.1, 10.0), (n, *window))
+        self._assert_whole_array_bits(
+            LabeledDataset(Tensor(images), np.zeros(n), 10, input_shape=shape))
+
+    @pytest.mark.parametrize("family", ["strokes", "outline", "geom"])
+    @pytest.mark.parametrize("side", [64, 96, 128])
+    def test_bits_on_preprocessed_sets(self, family, side):
+        self._assert_whole_array_bits(
+            preprocess(synth_target_dataset(4, per_class=3, size=(28, 28), family=family),
+                       (3, side, side)))
+
+    def test_peak_memory_does_not_grow_with_the_set(self):
+        net = build_cwnet((3, 128, 128), width_scale=0.25)
+
+        def peak(per_class):
+            ds = preprocess(synth_target_dataset(5, per_class=per_class, size=(28, 28)),
+                            (3, 128, 128))
+            tracemalloc.start()
+            try:
+                net.set_input_standardization(ds)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(10), peak(40)
+        # The whole 3x128x128 array of 100 samples alone is 39 MB.
+        assert abs(large - small) < (1 << 20) and large < (4 << 20)

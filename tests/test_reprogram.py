@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -229,13 +227,19 @@ def _linear_setup(rng, hw=8, inner=4, n=12):
     return w, model, ds, mask, cm
 
 
+def _full_program(net, opt_set, eval_set, mask, cm, cfg, loss_fn=None):
+    """The run's program: the zero program merged with the best epoch."""
+    return merge_zero_program(zero_program_loss(net, eval_set, cm, loss_fn),
+                              optimize_program(net, opt_set, eval_set, mask, cm, cfg, loss_fn))
+
+
 class TestOptimizeProgram:
     def test_zero_epochs_returns_zero_delta_and_initial_loss(self, small_net):
         ds = _padded_target(n=20)
         mask = build_frame_mask((3, 16, 16), (8, 8))
         cm = build_class_map(10, "first-ten")
         cfg = ReprogramConfig(eta=0.005, epochs=0, batch_size=10, seed=3)
-        prog = optimize_program(small_net, ds, ds, mask, cm, cfg)
+        prog = _full_program(small_net, ds, ds, mask, cm, cfg)
         assert np.array_equal(prog.delta, np.zeros((3, 16, 16)))
         initial = reprogramming_loss(small_net, ds.images.array, ds.labels,
                                      np.zeros((3, 16, 16)), mask, cm)
@@ -276,22 +280,9 @@ class TestOptimizeProgram:
         mask = build_frame_mask((3, 16, 16), (8, 8))
         cm = build_class_map(10, "first-ten")
         cfg = ReprogramConfig(eta=0.05, epochs=5, batch_size=10, seed=8)
-        prog = optimize_program(small_net, ds, ds, mask, cm, cfg)
+        prog = _full_program(small_net, ds, ds, mask, cm, cfg)
         assert prog.best_loss == min(prog.history)
         assert len(prog.history) == cfg.epochs + 1
-
-    def test_given_initial_loss_leaves_history_unchanged(self, small_net):
-        opt_set, eval_set = _padded_target(n=20, seed=8), _padded_target(n=30, seed=9)
-        mask = build_frame_mask((3, 16, 16), (8, 8), 12)
-        cm = build_class_map(10, "first-ten")
-        cfg = ReprogramConfig(eta=0.05, epochs=2, batch_size=10, seed=4)
-        initial = zero_program_loss(small_net, eval_set, cm)
-        alone = optimize_program(small_net, opt_set, eval_set, mask, cm, cfg)
-        given_loss = optimize_program(small_net, opt_set, eval_set, mask, cm, cfg,
-                                      initial_loss=initial)
-        assert alone.history[0] == initial
-        assert given_loss.history == alone.history
-        assert np.array_equal(given_loss.delta, alone.delta)
 
     def test_determinism(self, small_net):
         ds = _padded_target(n=20, seed=7)
@@ -308,7 +299,7 @@ class TestOptimizeProgram:
         eta = 1.0 / 128.0
         cfg = ReprogramConfig(eta=eta, epochs=130, batch_size=len(ds),
                               opt_set_size=len(ds), eval_set_size=len(ds), seed=1)
-        prog = optimize_program(model, ds, ds, mask, cm, cfg, loss_fn=mean_logit_loss)
+        prog = _full_program(model, ds, ds, mask, cm, cfg, loss_fn=mean_logit_loss)
         expected = -np.sign(w * mask.array) * mask.array
         assert np.array_equal(prog.delta * mask.array, expected)
         # achieved decrement equals -||g||_1 exactly (linear loss)
@@ -323,16 +314,17 @@ class TestOptimizeProgram:
         mask = build_frame_mask((3, 16, 16), (8, 8))
         cm = build_class_map(10, "first-ten")
         cfg = ReprogramConfig(eta=0.02, epochs=2, batch_size=10, seed=3)
-        prog = optimize_program(small_net, opt, evl, mask, cm, cfg)
+        prog = _full_program(small_net, opt, evl, mask, cm, cfg)
         assert prog.history[0] == pytest.approx(
             reprogramming_loss(small_net, evl.images.array, evl.labels,
                                np.zeros((3, 16, 16)), mask, cm), abs=1e-12)
 
 
 class TestMergeZeroProgram:
-    """optimize_program(initial_loss=inf) keeps the best epoch only; merging the
-    zero program afterwards must give what optimize_program(initial_loss=L)
-    gives directly."""
+    """optimize_program keeps the best epoch only, with history[0] = inf;
+    merge_zero_program(L, it) must pick what an epoch-by-epoch selection that
+    starts from the zero program at loss L picks: the first minimum of
+    [L, epoch losses], so ties go to the zero program."""
 
     @pytest.fixture
     def optimize(self, small_net):
@@ -340,44 +332,43 @@ class TestMergeZeroProgram:
         mask = build_frame_mask((3, 16, 16), (8, 8), 12)
         cm = build_class_map(10, "first-ten")
 
-        def optimize(epochs, initial_loss, step_callback=None):
+        def optimize(epochs, step_callback=None):
             cfg = ReprogramConfig(eta=0.05, epochs=epochs, batch_size=10, seed=4)
             return optimize_program(small_net, opt_set, eval_set, mask, cm, cfg,
-                                    initial_loss=initial_loss, step_callback=step_callback)
+                                    step_callback=step_callback)
 
         return optimize
 
     @pytest.mark.parametrize("case", ["epochs_win", "zero_wins", "tie", "no_epochs"])
     def test_merge_equals_direct_optimization(self, optimize, case):
         epochs = 0 if case == "no_epochs" else 3
-        best_epoch = optimize(epochs, math.inf)
+        epoch_ends = {}
+        best_epoch = optimize(epochs, lambda e, b, d: epoch_ends.__setitem__(e, d))
         best = best_epoch.best_loss
+        assert best_epoch.history[0] == np.inf and (best == np.inf) == (epochs == 0)
         initial = {"epochs_win": best + 0.5, "zero_wins": best - 0.5, "tie": best,
                    "no_epochs": 2.0}[case]
-        direct = optimize(epochs, initial)
         merged = merge_zero_program(initial, best_epoch)
-        assert merged.history == direct.history
-        assert merged.best_loss == direct.best_loss
-        assert merged.delta.tobytes() == direct.delta.tobytes()
-        zero_wins = case != "epochs_win"
-        assert merged.best_loss == (initial if zero_wins else best)
-        assert np.array_equal(merged.delta,
-                              np.zeros((3, 16, 16)) if zero_wins else best_epoch.delta)
+        history = [initial, *best_epoch.history[1:]]
+        first = history.index(min(history))
+        direct = np.zeros((3, 16, 16)) if first == 0 else epoch_ends[first - 1]
+        assert merged.history == history and len(history) == epochs + 1
+        assert merged.best_loss == history[first]
+        assert merged.delta.tobytes() == direct.tobytes()
+        assert (first == 0) == (case != "epochs_win")
 
     def test_best_epoch_is_first_minimum(self, optimize):
         epoch_ends = {}
-        prog = optimize(4, math.inf, lambda e, b, d: epoch_ends.__setitem__(e, d))
+        prog = optimize(4, lambda e, b, d: epoch_ends.__setitem__(e, d))
         losses = prog.history[1:]
         first = losses.index(min(losses))
-        assert prog.history[0] == math.inf and len(losses) == 4
+        assert prog.history[0] == np.inf and len(losses) == 4
         assert prog.best_loss == losses[first]
         assert np.array_equal(prog.delta, epoch_ends[first])
 
     def test_non_finite_zero_loss_rejected(self, optimize):
         with pytest.raises(NumericError):
-            merge_zero_program(float("nan"), optimize(1, math.inf))
-        with pytest.raises(NumericError):
-            optimize(1, float("nan"))
+            merge_zero_program(float("nan"), optimize(1))
 
 
 class TestProgramCheckpoint:

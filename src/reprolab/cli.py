@@ -9,6 +9,7 @@ sweep, 1 hard failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import os
@@ -599,13 +600,13 @@ def main(argv=None) -> int:
         elif args.command == "reprogram":
             cfg = _apply_overrides(load_config(args.config), args)
             record = cmd_reprogram(cfg, args.model)
-            print(",".join(CSV_HEADER))
-            print(",".join(record.to_csv_row()))
+            csv.writer(sys.stdout, lineterminator="\n").writerows(
+                [CSV_HEADER, record.to_csv_row()])
         elif args.command == "sweep":
             cfg = _apply_overrides(load_config(args.config), args)
             records, failures = cmd_sweep(cfg, args.model, jobs=args.jobs)
-            for record in records:
-                print(",".join(record.to_csv_row()))
+            csv.writer(sys.stdout, lineterminator="\n").writerows(
+                record.to_csv_row() for record in records)
             for size, error in failures:
                 print(f"mask size {size} failed: {error}", file=sys.stderr)
             if failures:

@@ -55,6 +55,8 @@ class MetricsRecord:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigurationError(f"{name}={value} outside [0, 1]")
+        if not (np.isfinite(self.g_l1) and self.g_l1 >= 0.0):
+            raise ConfigurationError(f"g_l1={self.g_l1} is not finite and non-negative")
         if self.mask_size < 0:
             raise ConfigurationError(f"mask_size={self.mask_size} negative")
 
@@ -124,7 +126,7 @@ def read_metrics_csv(csv_path) -> list[MetricsRecord]:
                 if len(row) != len(CSV_HEADER):
                     raise ValueError(f"{len(row)} fields, expected {len(CSV_HEADER)}")
                 records.append(MetricsRecord.from_csv_row(row))
-            except ValueError as exc:
+            except (ValueError, ConfigurationError) as exc:
                 raise SchemaError(f"{csv_path}, line {reader.line_num}: {exc}") from exc
         return records
 
@@ -179,7 +181,7 @@ def gradient_alignment(gradients) -> float:
 _CHUNK_ELEMENTS = 1 << 16
 
 
-def _input_gradients(net, images: np.ndarray, labels: np.ndarray, offset: np.ndarray,
+def _input_gradients(net: Network, images: np.ndarray, labels: np.ndarray, offset: np.ndarray,
                      class_map: ClassMap) -> np.ndarray:
     """Unmasked per-sample input gradients at x_i + offset; shape (n, *input).
 
@@ -191,10 +193,10 @@ def _input_gradients(net, images: np.ndarray, labels: np.ndarray, offset: np.nda
     loss = T.scale(T.softmax_cross_entropy(net.forward(T.add(x, Tensor(offset))),
                                            class_map.apply(labels)), len(images))
     T.backward(loss)
-    return x.grad if x.grad is not None else np.zeros_like(images)
+    return x.grad
 
 
-def alignment_stats(net, dataset: LabeledDataset, offset: np.ndarray, masks: list[Mask],
+def alignment_stats(net: Network, dataset: LabeledDataset, offset: np.ndarray, masks: list[Mask],
                     class_map: ClassMap) -> list[tuple[float, float]]:
     """(r, ||g||_1) for each of ``masks``, from the input gradients at x + offset.
 

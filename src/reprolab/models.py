@@ -269,7 +269,7 @@ def _run_layers(layers: list, x: Tensor, rng: np.random.Generator | None) -> Ten
 # canvas and only the grown window per sample.
 
 
-def _frame_windows(net, images: np.ndarray,
+def _frame_windows(net: Network, images: np.ndarray,
                    rng: np.random.Generator | None = None) -> list[tuple[int, ...]] | None:
     """Per-sample crop window (r0, r1, c0, c1) at the input of each layer up to the frame's end.
 
@@ -277,12 +277,10 @@ def _frame_windows(net, images: np.ndarray,
     (none is when ``rng`` is None); the last window is that layer's input.
     The first is the bounding box of the pixels nonzero in any sample and
     channel of ``images``, in network input coordinates: shifted by where
-    the images sit (datasets.window_origin). None when the net is not a
-    Network, a layer before the end is not a known kind, or a conv's grown
-    window would reach past its input's edge.
+    the images sit (datasets.window_origin). None when no pixel is nonzero,
+    a layer before the end is not a known kind, or a conv's grown window
+    would reach past its input's edge.
     """
-    if not isinstance(net, Network) or images.ndim != 4:
-        return None
     top, left = window_origin(images.shape[1:], net.input_shape)
     nonzero = (images != 0).any(axis=(0, 1))
     rows, cols = np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
@@ -311,7 +309,7 @@ def _frame_windows(net, images: np.ndarray,
     return None
 
 
-def forward_framed(net, images: np.ndarray, offset: Tensor,
+def forward_framed(net: Network, images: np.ndarray, offset: Tensor,
                    rng: np.random.Generator | None = None) -> Tensor:
     """Logits of ``images + offset``, sharing the frame across the batch.
 
@@ -326,15 +324,13 @@ def forward_framed(net, images: np.ndarray, offset: Tensor,
     end the crops are pasted into the canvas, and the remaining layers run at
     full batch shape, so an active Dropout draws the same mask as on the tape.
     The result and the parameter gradients equal net.forward(images + offset,
-    rng)'s in real arithmetic. Other models, other layer kinds and windows
-    that grow past the input's edge take that tape path, on the network-size
-    array of ``images``; without ``rng`` it calls net.forward(x) alone, which
-    any model takes.
+    rng)'s in real arithmetic. Other layer kinds and windows that grow past
+    the input's edge take that tape path, on the network-size array of
+    ``images``.
     """
     windows = _frame_windows(net, images, rng)
     if windows is None:
-        x = T.add(Tensor(embed(images, offset.shape)), offset)
-        return net.forward(x) if rng is None else net.forward(x, rng)
+        return net.forward(T.add(Tensor(embed(images, offset.shape)), offset), rng)
     end = len(windows) - 1
     r0, r1, c0, c1 = windows[0]
     top, left = window_origin(images.shape[1:], net.input_shape)
@@ -466,18 +462,17 @@ def predict_batch(net: Network, images: np.ndarray,
     """Argmax predictions (ties: lowest class index) and raw logits of images + offset.
 
     The one graph-free forward: forward_framed with ``offset`` (C, H, W),
-    zero of the model's ``input_shape`` when None, so a Network shares the
-    frame around the images across the batch; other models run ``forward``,
-    and one without ``input_shape`` takes network-size images.
+    zero of the network's ``input_shape`` when None, so the frame around the
+    images is shared across the batch.
     """
     if offset is None:
-        offset = np.zeros(getattr(net, "input_shape", images.shape[1:]))
+        offset = np.zeros(net.input_shape)
     with no_grad():
         logits = forward_framed(net, images, Tensor(offset)).array
     return logits.argmax(axis=1), logits
 
 
-def _predict_chunks(net, images: np.ndarray, offset: np.ndarray):
+def _predict_chunks(net: Network, images: np.ndarray, offset: np.ndarray):
     """Yield (rows, predictions, logits) of predict_batch over chunks of _EVAL_BATCH
     rows of ``images``, in order."""
     for start in range(0, len(images), _EVAL_BATCH):
@@ -485,12 +480,11 @@ def _predict_chunks(net, images: np.ndarray, offset: np.ndarray):
         yield rows, *predict_batch(net, images[rows], offset)
 
 
-def accuracy(net: Network, ds: LabeledDataset, mapping=None) -> float:
-    """Fraction of samples predicted as their (optionally mapped) label."""
+def accuracy(net: Network, ds: LabeledDataset, mapping: np.ndarray | None = None) -> float:
+    """Fraction of samples predicted as their label, or as mapping[label] when given."""
     targets = ds.labels
     if mapping is not None:
-        lut = np.asarray(getattr(mapping, "map", mapping), dtype=np.int64)
-        targets = lut[ds.labels]
+        targets = np.asarray(mapping, dtype=np.int64)[ds.labels]
     hits = 0
     for rows, pred, _ in _predict_chunks(net, ds.images.array, np.zeros(ds.input_shape)):
         hits += int((pred == targets[rows]).sum())

@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .datasets import LabeledDataset, make_batches, window_origin
 from .errors import ConfigurationError, InjectivityError, NumericError, ShapeError
-from .models import _predict_chunks, forward_framed
+from .models import Network, _predict_chunks, forward_framed
 from .tensor import Tensor, load_tensor, save_tensor, write_json
 
 
@@ -151,7 +151,8 @@ def box_project(delta: np.ndarray) -> np.ndarray:
     return np.clip(delta, -1.0, 1.0)
 
 
-def _mean_loss(net, images: np.ndarray, offset, mapped: np.ndarray, loss_fn=None) -> float:
+def _mean_loss(net: Network, images: np.ndarray, offset, mapped: np.ndarray,
+               loss_fn=None) -> float:
     """Mean loss of images + offset over models.predict_batch's evaluation chunks;
     ``loss_fn`` None is softmax cross-entropy."""
     loss_fn = loss_fn or T.softmax_cross_entropy
@@ -161,13 +162,13 @@ def _mean_loss(net, images: np.ndarray, offset, mapped: np.ndarray, loss_fn=None
     return total / len(images)
 
 
-def reprogramming_loss(net, images: np.ndarray, labels: np.ndarray, delta: np.ndarray,
+def reprogramming_loss(net: Network, images: np.ndarray, labels: np.ndarray, delta: np.ndarray,
                        mask: Mask, class_map: ClassMap) -> float:
     """Mean cross-entropy of perturbed samples against their mapped source labels."""
     return _mean_loss(net, images, delta * mask.array, class_map.apply(labels))
 
 
-def zero_program_loss(net, eval_set: LabeledDataset, class_map: ClassMap,
+def zero_program_loss(net: Network, eval_set: LabeledDataset, class_map: ClassMap,
                       loss_fn=None) -> float:
     """Evaluation loss of the zero program, ``history[0]`` of merge_zero_program.
 
@@ -177,8 +178,9 @@ def zero_program_loss(net, eval_set: LabeledDataset, class_map: ClassMap,
                       class_map.apply(eval_set.labels), loss_fn)
 
 
-def average_masked_gradient(net, images: np.ndarray, labels: np.ndarray, delta: np.ndarray,
-                            mask: Mask, class_map: ClassMap, loss_fn=None) -> np.ndarray:
+def average_masked_gradient(net: Network, images: np.ndarray, labels: np.ndarray,
+                            delta: np.ndarray, mask: Mask, class_map: ClassMap,
+                            loss_fn=None) -> np.ndarray:
     """(1/B) sum of per-sample input gradients at x_i + delta o M, masked.
 
     Computed as the gradient of the mean batch loss with respect to delta,
@@ -196,10 +198,10 @@ def average_masked_gradient(net, images: np.ndarray, labels: np.ndarray, delta: 
     if not np.isfinite(loss.item()):
         raise NumericError("non-finite loss while computing the average input gradient")
     T.backward(loss)
-    return delta_t.grad if delta_t.grad is not None else np.zeros_like(delta)
+    return delta_t.grad
 
 
-def optimize_program(net, opt_set: LabeledDataset, eval_set: LabeledDataset, mask: Mask,
+def optimize_program(net: Network, opt_set: LabeledDataset, eval_set: LabeledDataset, mask: Mask,
                      class_map: ClassMap, cfg: ReprogramConfig, loss_fn=None,
                      step_callback=None) -> Program:
     """Sign-gradient descent on the masked program with box projection.
@@ -215,8 +217,7 @@ def optimize_program(net, opt_set: LabeledDataset, eval_set: LabeledDataset, mas
     program is merge_zero_program(zero_program_loss(...), this result).
     ``step_callback(epoch, batch, delta)`` observes read-only snapshots.
     """
-    if hasattr(net, "set_requires_grad"):
-        net.set_requires_grad(False)
+    net.set_requires_grad(False)
     mask_arr = mask.array
     opt_images = opt_set.images.array
     mapped_eval = class_map.apply(eval_set.labels)

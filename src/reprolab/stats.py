@@ -32,6 +32,8 @@ def _validate(x, y, method: str) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigurationError(f"{method} needs two equal-length vectors")
     if len(x) < 3:
         raise ConfigurationError(f"{method} needs n >= 3, got {len(x)}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ConfigurationError(f"{method} needs finite values")
     return x, y
 
 

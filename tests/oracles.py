@@ -4,11 +4,13 @@ Everything here is deliberately naive: explicit loops, arbitrary precision,
 or exhaustive enumeration. None of it shares code with the package, except
 train_sgd_tape, which drives the network's own tape forward and backward,
 backward_retaining, which replays the tape's own recorded rules,
-conv_layer_unfused, which chains the tape's own unfused operations, and
+conv_layer_unfused, which chains the tape's own unfused operations,
 finite_diff_check, which compares the package's backward with central
-differences of the same function. standardization_whole_array is numpy's own
-mean and std over the whole network-size array, the form the streamed
-standardization fit must reproduce bit for bit.
+differences of the same function, and linear_network, the package's own
+Network reduced to Flatten and one Dense layer, for exact first-order
+arithmetic. standardization_whole_array is numpy's own mean and std over the
+whole network-size array, the form the streamed standardization fit must
+reproduce bit for bit.
 """
 
 import numpy as np
@@ -202,6 +204,17 @@ def train_sgd_tape(net, images: np.ndarray, labels: np.ndarray, epochs: int,
     for p in params:
         p.requires_grad = False
     return history
+
+
+def linear_network(w: np.ndarray, input_shape):
+    """Network([Flatten(), Dense]) with logits flatten(x) @ w: the Dense weight
+    is ``w`` as (prod(input_shape), classes) and its bias is zero."""
+    from reprolab.models import Dense, Flatten, Network
+
+    w = np.asarray(w, dtype=np.float64).reshape(int(np.prod(input_shape)), -1)
+    dense = Dense(*w.shape)
+    dense.weight.array[...] = w
+    return Network([Flatten(), dense], input_shape, num_classes=w.shape[1])
 
 
 def tape_nodes(loss) -> list:

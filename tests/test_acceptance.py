@@ -46,6 +46,7 @@ from oracles import (
     finite_diff_check,
     grid_min_inner_product,
     kendall_tau_b_loops,
+    linear_network,
     pearson_fraction,
     spearman_rank_then_pearson,
 )
@@ -252,16 +253,6 @@ def test_criterion_01_gradient_correctness():
 # ---------------------------------------------------------------------------
 
 
-class _LinearLossModel:
-    def __init__(self, w):
-        self.w = w.reshape(-1, 1)
-
-    def forward(self, x):
-        if not isinstance(x, Tensor):
-            x = Tensor(x)
-        return T.matmul(T.reshape(x, (x.shape[0], -1)), Tensor(self.w))
-
-
 def _mean_logit(logits, labels):
     return T.tensor_mean(logits)
 
@@ -269,7 +260,7 @@ def _mean_logit(logits, labels):
 def test_criterion_02_linear_model_exactness():
     rng = np.random.default_rng(22)
     w = rng.normal(0, 0.7, (1, 12, 12))
-    model = _LinearLossModel(w)
+    model = linear_network(w, (1, 12, 12))
     raw = synth_target_dataset(5, per_class=2, size=(6, 6))
     ds = preprocess(raw, (1, 12, 12))
     mask = build_frame_mask((1, 12, 12), (6, 6))

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import os
 from dataclasses import asdict, fields, replace
@@ -747,6 +748,13 @@ class TestMainEntry:
         (lambda line: line.replace(",0.5,", ",abc,", 1), "line 3: could not convert"),
         (lambda line: line.replace(",true,", ",True,", 1),
          "line 3: trained must be true or false, got 'True'"),
+        (lambda line: line.replace(",0.5,", ",1.5,", 1), "line 3: ra=1.5 outside [0, 1]"),
+        (lambda line: line.replace(",1.0,", ",nan,", 1),
+         "line 3: g_l1=nan is not finite and non-negative"),
+        (lambda line: line.replace(",1.0,", ",inf,", 1),
+         "line 3: g_l1=inf is not finite and non-negative"),
+        (lambda line: line.replace(",1.0,", ",-1.0,", 1),
+         "line 3: g_l1=-1.0 is not finite and non-negative"),
     ])
     def test_malformed_metrics_row(self, tmp_path, capsys, edit, message):
         path = tmp_path / "m.csv"
@@ -759,6 +767,25 @@ class TestMainEntry:
         assert main(["correlate", "--metrics", str(path), "--x", "RA", "--y", "rN"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"m.csv, {message}" in err
+
+
+    @pytest.mark.parametrize("command, metrics", [
+        ("reprogram", Path("reprogram", "metrics.csv")),
+        ("sweep", Path("sweep", "metrics.csv")),
+    ])
+    def test_printed_rows_are_csv(self, pipeline, tmp_path, capsys, command, metrics):
+        # A name holding the delimiter and the quote character is quoted on
+        # stdout as in metrics.csv, so both parse back to the same rows.
+        cfg_path = _write_config(_tiny_config(tmp_path), tmp_path / "cfg.yaml",
+                                 target__name='geom, "v2"')
+        assert main([command, "--config", str(cfg_path),
+                     "--model", str(pipeline["model_dir"])]) == 0
+        printed = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        with open(tmp_path / metrics, newline="") as fh:
+            written = list(csv.reader(fh))
+        assert printed == (written if command == "reprogram" else written[1:])
+        assert all(len(row) == len(CSV_HEADER) for row in printed)
+        assert printed[-1][1] == 'geom, "v2"'
 
 
 def _write_config(cfg: ExperimentConfig, path: Path, **changes) -> Path:

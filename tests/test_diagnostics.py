@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import reprolab.tensor as T
 from reprolab import diagnostics
 from reprolab.datasets import LabeledDataset, embed, preprocess, synth_target_dataset
 from reprolab.diagnostics import (
@@ -28,19 +27,7 @@ from reprolab.models import build_cwnet, init_weights
 from reprolab.reprogram import build_class_map, build_frame_mask
 from reprolab.tensor import Tensor
 
-from oracles import grid_min_inner_product
-
-
-class LinearLogitsModel:
-    """logits = flatten(x) @ W, for exact first-order arithmetic in tests."""
-
-    def __init__(self, w: np.ndarray):
-        self.w = w  # (d, classes)
-
-    def forward(self, x):
-        if not isinstance(x, Tensor):
-            x = Tensor(x)
-        return T.matmul(T.reshape(x, (x.shape[0], -1)), Tensor(self.w))
+from oracles import grid_min_inner_product, linear_network
 
 
 def _setup(n=40, hw=16, inner=8, seed=0):
@@ -70,7 +57,7 @@ class TestDomainAlignment:
         inner_sel[2:6, 2:6] = 1.0
         w[:, 0] = inner_sel.ravel()
         w[:, 1] = -inner_sel.ravel()
-        net = LinearLogitsModel(w)
+        net = linear_network(w, (1, hw, hw))
         cm = build_class_map(2, [0, 1])
         assert domain_alignment(net, ds, cm) == 1.0
 
@@ -102,7 +89,7 @@ class TestReprogrammingAccuracy:
         ds = LabeledDataset(Tensor(images), labels, 2)
         sel = np.ones((1, hw, hw)).ravel()
         w = np.stack([sel, -sel], axis=1)
-        net = LinearLogitsModel(w)
+        net = linear_network(w, (1, hw, hw))
         from reprolab.reprogram import Mask
 
         mask_arr = np.ones((1, hw, hw))
@@ -253,7 +240,7 @@ class TestConfusionMatrix:
         ds = LabeledDataset(Tensor(images), labels, 2)
         sel = np.zeros((hw, hw))
         sel[2:6, 2:6] = 1.0
-        net = LinearLogitsModel(np.stack([sel.ravel(), -sel.ravel()], axis=1))
+        net = linear_network(np.stack([sel.ravel(), -sel.ravel()], axis=1), (1, hw, hw))
         counts = confusion_matrix(net, ds, None, build_class_map(2, [0, 1]))
         assert counts.shape == (2, 3)
         assert counts[0, 0] == 10 and counts[1, 1] == 10

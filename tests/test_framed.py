@@ -321,16 +321,6 @@ class TestPredictBatch:
         assert diagonal_accuracy(counts) == domain_alignment(net64, ds, cm)
 
 
-class LinearLogitsModel:
-    """Ten logits linear in the input; not a CWNet Network, and forward takes x only."""
-
-    def __init__(self, w: np.ndarray):
-        self.w = w
-
-    def forward(self, x):
-        return T.matmul(T.reshape(x, (x.shape[0], -1)), Tensor(self.w))
-
-
 class TestFallbackEqualsTape:
     """Where the framed path does not apply, results equal the tape path's exactly."""
 
@@ -356,14 +346,6 @@ class TestFallbackEqualsTape:
         ds = preprocess(synth_target_dataset(0, per_class=2, size=(8, 8)),
                         (3, 16, 16))
         self._assert_tape(small_net, ds.images.array, ds.labels, (3, 16, 16))
-
-    def test_model_that_is_not_a_network(self):
-        rng = np.random.default_rng(8)
-        shape = (3, 16, 16)
-        model = LinearLogitsModel(rng.normal(0.0, 0.1, (int(np.prod(shape)), 10)))
-        ds = preprocess(synth_target_dataset(0, per_class=2, size=(8, 8)),
-                        shape)
-        self._assert_tape(model, ds.images.array, ds.labels, shape)
 
     def test_inputs_nonzero_everywhere(self, net64):
         rng = np.random.default_rng(9)

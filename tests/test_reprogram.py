@@ -24,22 +24,12 @@ from reprolab.reprogram import (
     save_program,
     zero_program_loss,
 )
-from reprolab.tensor import Tensor
 
-
-class LinearLossModel:
-    """Single-logit model whose mean loss is exactly linear in the input."""
-
-    def __init__(self, w: np.ndarray):
-        self.w = w.reshape(-1, 1)
-
-    def forward(self, x):
-        if not isinstance(x, Tensor):
-            x = Tensor(x)
-        return T.matmul(T.reshape(x, (x.shape[0], -1)), Tensor(self.w))
+from oracles import linear_network
 
 
 def mean_logit_loss(logits, labels):
+    """A loss exactly linear in the input through oracles.linear_network's one logit."""
     return T.tensor_mean(logits)
 
 
@@ -180,7 +170,7 @@ class TestAverageMaskedGradient:
 
     def test_linear_model_gradient_is_masked_weights(self, rng):
         w = rng.normal(0, 1, (3, 16, 16))
-        model = LinearLossModel(w)
+        model = linear_network(w, w.shape)
         ds = _padded_target(n=10)
         mask = build_frame_mask((3, 16, 16), (8, 8))
         cm = build_class_map(10, "first-ten")
@@ -219,7 +209,7 @@ class TestAverageMaskedGradient:
 
 def _linear_setup(rng, hw=8, inner=4, n=12):
     w = rng.normal(0, 0.8, (1, hw, hw))
-    model = LinearLossModel(w)
+    model = linear_network(w, w.shape)
     raw = synth_target_dataset(3, per_class=max(1, n // 10), size=(inner, inner))
     ds = preprocess(raw, (1, hw, hw))
     mask = build_frame_mask((1, hw, hw), (inner, inner))

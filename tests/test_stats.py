@@ -184,6 +184,22 @@ class TestPermutationPValue:
         assert 0.0 < res.p_value <= 1.0
 
 
+class TestNonFinite:
+    """NaN or an infinity has no rank and no place in a permutation count."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("method", sorted(COEFFICIENTS))
+    def test_rejected(self, method, value):
+        x, y = [1.0, 2.0, 3.0, 4.0], [2.0, value, 1.0, 3.0]
+        for args in ((x, y), (y, x)):
+            with pytest.raises(ConfigurationError, match="finite"):
+                COEFFICIENTS[method](*args)
+            for exhaustive in (False, True):
+                with pytest.raises(ConfigurationError, match="finite"):
+                    permutation_pvalue(*args, method=method, n_permutations=999,
+                                       exhaustive=exhaustive)
+
+
 class TestArrayPassesMatchLoop:
     """p-values of the array passes equal a loop of one coefficient call per
     permutation, compared with ==. Ties make permuted coefficients equal to the

@@ -26,6 +26,8 @@ from reprolab.models import (
 from reprolab.reprogram import average_masked_gradient, build_class_map, build_frame_mask
 from reprolab.tensor import Tensor
 
+from oracles import linear_network
+
 
 def _network_size(images, shape):
     """Each image centred in zeros of ``shape``, its one channel repeated."""
@@ -37,19 +39,9 @@ def _network_size(images, shape):
     return out
 
 
-class LinearLogitsModel:
-    """Ten logits linear in the input; not a CWNet Network."""
-
-    def __init__(self, shape):
-        self.input_shape = shape
-        self.w = np.random.default_rng(8).normal(0.0, 0.1, (int(np.prod(shape)), 10))
-
-    def forward(self, x):
-        return T.matmul(T.reshape(x, (x.shape[0], -1)), Tensor(self.w))
-
-
-# (input shape, image size, model kind): the 64x64 one runs the framed path;
-# at 16x16 the window grows into the border, so every forward takes the tape.
+# (input shape, image size, model kind): the 64x64 CWNet runs the framed path;
+# the 16x16 CWNet's window grows into the border, so every forward takes the
+# tape; the linear network's frame ends at its first layer, Flatten.
 FIXTURES = {
     "cwnet64": ((3, 64, 64), (28, 28), "cwnet"),
     "cwnet16": ((3, 16, 16), (8, 8), "cwnet"),
@@ -62,7 +54,8 @@ CASES = [("cwnet64", 36), ("cwnet64", 48), ("cwnet64", 64), ("cwnet16", None),
 def _model(name, fit_on=None):
     shape, _, kind = FIXTURES[name]
     if kind == "linear":
-        return LinearLogitsModel(shape)
+        return linear_network(
+            np.random.default_rng(8).normal(0.0, 0.1, (int(np.prod(shape)), 10)), shape)
     net = init_weights(build_cwnet(shape, width_scale=0.25, dropout_enabled=True), 21)
     if fit_on is not None:
         net.set_input_standardization(fit_on)
@@ -90,7 +83,7 @@ def case(request):
     mask = build_frame_mask(shape, inner, outer)
     delta = np.random.default_rng(3).uniform(-1.0, 1.0, shape)
     assert ds.images.shape[1:] == (1, *inner)
-    assert (_frame_windows(net, ds.images.array) is not None) == (name == "cwnet64")
+    assert (_frame_windows(net, ds.images.array) is not None) == (name != "cwnet16")
     return net, ds, _full(ds), mask, delta
 
 
